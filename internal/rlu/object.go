@@ -42,7 +42,7 @@ func Dereference[T any](t *Thread, o *Object[T]) *T {
 	if c.owner == t {
 		return &c.data
 	}
-	wc := c.owner.writeClock.Load()
+	wc := c.owner.publishedWriteClock()
 	before, unc := t.d.ord.certainlyBefore(t.localClock.Load(), wc)
 	t.countCmp(unc)
 	if before {
@@ -77,9 +77,9 @@ func TryLock[T any](t *Thread, o *Object[T]) (ptr *T, ok bool) {
 		return nil, false
 	}
 	// Safe to copy after publishing the header: no other thread reads
-	// c.data until t.writeClock is set at commit, which happens after this
-	// copy in program order (and with release/acquire ordering through the
-	// writeClock atomics).
+	// c.data until t.writeClock holds a commit timestamp, which happens
+	// after this copy in program order (and with release/acquire ordering
+	// through the writeClock atomics).
 	c.data = o.data
 	t.log = append(t.log, c)
 	return &c.data, true

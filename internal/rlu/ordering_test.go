@@ -1,6 +1,8 @@
 package rlu
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -113,6 +115,66 @@ func TestNegativeSkewSnapshotHazard(t *testing.T) {
 	}
 	if cb(c, readerLocal, writeClock) {
 		t.Fatal("conservative rule failed: lagging post-commit reader sent to original")
+	}
+}
+
+// TestCommitOrdersAfterEarlierReaders pins the commit-start clock read
+// in the Ordo commit timestamp. A reader that began after the writer's
+// section start but before the commit, and read one object while the
+// writer was inactive (the original), must also read the original of the
+// writer's second object once the commit timestamp is published. A commit
+// timestamp derived only from the writer's section start lands within one
+// boundary of such a reader's clock; the steal rule then hands the reader
+// the new copy, and its snapshot is torn.
+func TestCommitOrdersAfterEarlierReaders(t *testing.T) {
+	const boundary = 100
+	// The clock advances one tick per read, so NewTime's spin terminates,
+	// and the test moves it forward in between sections.
+	var now atomic.Uint64
+	o := core.New(core.ClockFunc(func() core.Time {
+		return core.Time(now.Add(1))
+	}), boundary)
+	d := NewDomain(Ordo, o)
+	writer, reader := d.RegisterThread(), d.RegisterThread()
+	a, b := NewObject(50), NewObject(50)
+
+	writer.ReaderLock() // section start at t≈0
+	pa, okA := TryLock(writer, a)
+	pb, okB := TryLock(writer, b)
+	if !okA || !okB {
+		t.Fatal("uncontended TryLock failed")
+	}
+	*pa, *pb = 60, 40
+
+	now.Store(150) // reader starts later, within two boundaries of it
+	reader.ReaderLock()
+	if got := *Dereference(reader, a); got != 50 {
+		t.Fatalf("a = %d while the writer is inactive, want the original 50", got)
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		writer.ReaderUnlock() // commits, then waits for the reader
+	}()
+	for {
+		if wc := writer.writeClock.Load(); wc != inactive && wc != committing {
+			break
+		}
+		runtime.Gosched()
+	}
+	if got := *Dereference(reader, b); got != 50 {
+		t.Errorf("b = %d after the commit timestamp is published, want the original 50 (reader clock %d, writeClock %d)",
+			got, reader.localClock.Load(), writer.writeClock.Load())
+	}
+	reader.ReaderUnlock()
+	<-done
+
+	reader.ReaderLock()
+	va, vb := *Dereference(reader, a), *Dereference(reader, b)
+	reader.ReaderUnlock()
+	if va != 60 || vb != 40 {
+		t.Errorf("after commit a=%d b=%d, want 60/40", va, vb)
 	}
 }
 

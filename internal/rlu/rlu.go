@@ -15,12 +15,25 @@
 // clock interface here:
 //
 //   - reader lock records get_time() instead of loading the global clock;
-//   - commit obtains new_time(localClock + boundary) instead of
-//     fetch_and_add (the extra boundary guards the single-version snapshot
-//     against negative skew between the committer and a stealing reader);
+//   - commit obtains new_time(max(localClock, get_time()) + boundary)
+//     instead of fetch_and_add (the extra boundary guards the
+//     single-version snapshot against negative skew between the committer
+//     and a stealing reader);
 //   - the steal check and the quiescence loop compare clocks with
 //     cmp_time(), treating "uncertain" conservatively (no steal / keep
 //     waiting).
+//
+// A commit publishes in a fixed order. The writer first stores the
+// committing marker in its writeClock, and only then takes the commit
+// timestamp and stores it in place of the marker. A reader whose steal
+// check meets the marker waits until the timestamp replaces it, so no
+// reader can decide "read the original" from an inactive writeClock once
+// the commit timestamp exists. The Ordo timestamp is taken from the clock
+// read at commit start (after the marker store), not only from the
+// writer's section start: every clock value a reader recorded before the
+// commit began is then certainly before the timestamp, so that reader
+// keeps reading originals for the rest of its section and the writer
+// waits for it.
 //
 // Unlike the C implementation, copies live on the garbage-collected heap,
 // so the original's two-generation write-log recycling is unnecessary:
@@ -36,9 +49,15 @@ import (
 	"ordo/internal/core"
 )
 
-// inactive marks a thread's writeClock when it has no commit in flight;
-// no reader can consider stealing from it.
-const inactive = math.MaxUint64
+// writeClock markers. inactive: the thread has no commit in flight, so
+// no reader steals from it. committing: the thread has started a commit
+// and is taking its timestamp; a reader that meets it waits (for at most
+// one commitClock call) until the timestamp is published. Neither is a
+// clock value, and the ordering comparisons never see committing.
+const (
+	inactive   = math.MaxUint64
+	committing = math.MaxUint64 - 1
+)
 
 // ordering abstracts the two clock designs. The comparison methods also
 // report whether the outcome was uncertain — always false for the exact
@@ -48,7 +67,8 @@ type ordering interface {
 	// readClock returns the value a beginning operation records.
 	readClock() uint64
 	// commitClock returns the writer's publication timestamp, advancing
-	// the global clock in the logical design.
+	// the global clock in the logical design. It is called after the
+	// writer has published the committing marker.
 	commitClock(localClock uint64) uint64
 	// certainlyAfter reports a > b with certainty (quiescence check).
 	certainlyAfter(a, b uint64) (after, uncertain bool)
@@ -67,9 +87,11 @@ type logicalClock struct {
 
 func (l *logicalClock) readClock() uint64 { return l.clock.Load() }
 func (l *logicalClock) commitClock(uint64) uint64 {
-	// write_clock = global + 1, then advance: Add returns the new value,
-	// which equals the pre-increment global + 1 — exactly the paper's pair
-	// of lines, but in one atomic step.
+	// Add returns global + 1 and advances the global clock in one atomic
+	// step. A reader may start before the result reaches writeClock; the
+	// committing marker, stored before this call, makes it wait and then
+	// steal instead of reading an original from an inactive writeClock
+	// (original RLU sets write_clock before advancing the clock).
 	return l.clock.Add(1)
 }
 func (l *logicalClock) certainlyAfter(a, b uint64) (bool, bool) { return a >= b, false }
@@ -84,9 +106,15 @@ type ordoClock struct{ o *core.Ordo }
 
 func (c ordoClock) readClock() uint64 { return uint64(c.o.GetTime()) }
 func (c ordoClock) commitClock(localClock uint64) uint64 {
-	// One extra boundary separates the new snapshot from the old even if
-	// the stealing reader's clock lags the committer's by a full skew.
-	return uint64(c.o.NewTime(core.Time(localClock) + c.o.Boundary()))
+	// Start from the later of the section start and the clock read now,
+	// at commit start: a reader that recorded its clock before the commit
+	// began (and may already have read an original) is then at most one
+	// boundary after now, hence certainly before the result. One extra
+	// boundary separates the new snapshot from the old even if the
+	// stealing reader's clock lags the committer's by a full skew; the
+	// result stays above localClock + 2·boundary as in the paper.
+	start := max(core.Time(localClock), c.o.GetTime())
+	return uint64(c.o.NewTime(start + c.o.Boundary()))
 }
 func (c ordoClock) certainlyAfter(a, b uint64) (bool, bool) {
 	if b == inactive {
@@ -283,6 +311,9 @@ func (t *Thread) commitWriteLog() {
 		t.isWriter = false
 		return
 	}
+	// Publish the marker before the timestamp exists, so the timestamp is
+	// never passed by a reader that still sees this thread as inactive.
+	t.writeClock.Store(committing)
 	t.writeClock.Store(t.d.ord.commitClock(t.localClock.Load()))
 	t.synchronize()
 	for _, e := range t.log {
@@ -295,6 +326,20 @@ func (t *Thread) commitWriteLog() {
 	t.log = t.log[:0]
 	t.isWriter = false
 	t.commits++
+}
+
+// publishedWriteClock returns t's writeClock once it is not the
+// committing marker: inactive or a commit timestamp. The wait lasts one
+// commitClock call (about two boundaries under Ordo).
+func (t *Thread) publishedWriteClock() uint64 {
+	for spins := 0; ; spins++ {
+		if wc := t.writeClock.Load(); wc != committing {
+			return wc
+		}
+		if spins%128 == 127 {
+			runtime.Gosched()
+		}
+	}
 }
 
 // synchronize waits for every reader that may still observe the old
