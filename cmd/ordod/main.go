@@ -466,8 +466,11 @@ func run(o options) error {
 			Incarnation: walDev.Incarnation(),
 			State:       replState,
 			Boundary:    boundary,
-			Spans:       spanRing,
-			Logf:        log.Printf,
+			// Followers' durable acks (and, while none is subscribed, the
+			// source's own tail) release the -repl-ack-bound gate.
+			AckAdvance: srv.NoteReplAck,
+			Spans:      spanRing,
+			Logf:       log.Printf,
 		})
 		if err != nil {
 			return err

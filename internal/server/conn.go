@@ -8,6 +8,7 @@ import (
 	"net"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -15,13 +16,15 @@ import (
 	"ordo/internal/db"
 	"ordo/internal/shard"
 	"ordo/internal/telemetry/span"
-	"ordo/internal/wal"
 	"ordo/internal/wire"
 )
 
 // errWorkerPanic is the internal sentinel a recovered worker panic turns
 // into so the normal connection-teardown path runs.
 var errWorkerPanic = errors.New("server: worker panicked")
+
+// errConnBroken fails work whose connection broke before it executed.
+var errConnBroken = errors.New("server: connection broken")
 
 // maxRecycledBuf bounds the frame buffers kept on the connection's free
 // list: a rare giant frame gets its slab dropped to the GC instead of
@@ -71,12 +74,11 @@ type serverConn struct {
 	// through lanes, preserving the single-writer-per-partition
 	// discipline.
 	sess db.Session
-	// wh is the worker's coordinator WAL append buffer in durable mode
-	// (nil otherwise): cross-shard transactions log their whole write-set
-	// as ONE record here, so recovery can never replay half a transfer.
-	// Only the worker touches it; closed in workLoop teardown so the slot
-	// recycles.
-	wh *wal.Handle
+	// log is the worker's coordinator WAL append stream: cross-shard
+	// transactions log their whole write-set as ONE record here, so
+	// recovery can never replay half a transfer. Its handle (nil without a
+	// WAL) is closed in workLoop teardown so the slot recycles.
+	log walStream
 	// ports is the connection's submission side to the shard lanes: one
 	// bounded SPSC ring per lane, worker-owned.
 	ports *shard.Ports
@@ -100,29 +102,37 @@ type serverConn struct {
 	// client, write stall): the deadline errors that follow are expected
 	// and must not count as protocol faults.
 	evicting bool
+	// broken is set once the reader sees the socket reset or closed under
+	// it. It fences the connection's unexecuted work — queued runs, lane
+	// batches still in a ring, a coordinator still parking its lanes: none
+	// of it can be answered, and running it late would let a write land
+	// after its client observed the break and moved on (say, re-read its
+	// state on a new connection). Work already executing finishes.
+	broken atomic.Bool
 
 	// Worker-owned scratch, reused across runs so the execBatch path is
 	// allocation-free in steady state. arena backs decoded rows and TXN
 	// sub-ops; its carvings live until the next run's Reset, which is after
 	// every response of the current run has been encoded.
-	arena     wire.Arena
-	reqs      []wire.Request
-	resps     []wire.Response
-	runBuf    []item
-	redoBuf   []byte
-	writePtrs []*wire.Request
+	arena  wire.Arena
+	reqs   []wire.Request
+	resps  []wire.Response
+	runBuf []item
 
 	// Lane-dispatch scratch, reused across runs: per-lane request/response
 	// pointer groups (the scatter), the reusable batch per lane, the
 	// submitted set of the current run (the gather), involved-lane marks
-	// for cross-shard transactions, and publication-board snapshots for
-	// the cross-shard read stability check.
+	// for cross-shard transactions, the parked coordinator's pointer view
+	// of a TXN, and publication-board snapshots for the cross-shard read
+	// stability check.
 	greqs    [][]*wire.Request
 	gresps   [][]*wire.Response
 	used     []int
 	lbatch   []*shard.Batch
 	subm     []*shard.Batch
 	laneMark []bool
+	txnReqs  []*wire.Request
+	txnResps []*wire.Response
 	tsV1     []uint64
 	tsV2     []uint64
 	// Span capture (DESIGN.md §16). spans is the node's ring, cached from
@@ -154,9 +164,8 @@ type serverConn struct {
 	// boundary stays the connection, as in the flat design.
 	laneFatal bool
 
-	// Session-counter baselines for delta-flushing into server metrics.
-	lastCommits, lastAborts uint64
-	lastCmps, lastUncertain uint64
+	// last is the worker session's counters at the previous flush.
+	last sessCounters
 }
 
 // hardCap is the absolute pending bound: past it the reader blocks rather
@@ -171,9 +180,7 @@ func newServerConn(s *Server, nc net.Conn) *serverConn {
 		br:   bufio.NewReaderSize(nc, 64<<10),
 		bw:   wire.NewBatchWriter(nc),
 		sess: s.cfg.DB.NewSession(),
-	}
-	if s.gc != nil {
-		c.wh = s.gc.log.NewHandle()
+		log:  s.newWALStream(-1),
 	}
 	if s.cfg.Telemetry != nil {
 		c.tel = s.cfg.Telemetry.newConnShards()
@@ -198,9 +205,10 @@ func (c *serverConn) laneBatch(lane int) *shard.Batch {
 	b := c.lbatch[lane]
 	if b == nil {
 		b = shard.NewBatch()
+		b.Abandoned = &c.broken
 		c.lbatch[lane] = b
 	}
-	b.Seq, b.WalWrites, b.Err, b.Panicked = 0, 0, nil, false
+	b.Seq, b.LogErr, b.Err, b.Panicked = 0, nil, nil, false
 	b.Trace = uint64(c.spanTrace)
 	return b
 }
@@ -327,8 +335,11 @@ func (c *serverConn) finishRead() {
 // nobody armed) is an ordinary protocol fault: logged, counted, and
 // answered with ERR before the connection closes.
 func (c *serverConn) classifyReadError(err error) {
-	if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) ||
-		errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) {
+	if errors.Is(err, io.EOF) {
+		return // possibly a half-close: the client may still read
+	}
+	if errors.Is(err, net.ErrClosed) || errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) {
+		c.broken.Store(true)
 		return
 	}
 	var ne net.Error
@@ -375,7 +386,9 @@ func (c *serverConn) enqueue(it item) {
 // engine session exclusively.
 func (c *serverConn) workLoop() {
 	defer c.nc.Close()
-	defer c.closeWAL()
+	if c.log.wh != nil {
+		defer c.log.wh.Close()
+	}
 	defer c.tel.close()
 	defer c.ports.Close()
 	for {
@@ -534,18 +547,7 @@ func (c *serverConn) abortReader() {
 
 // flushSessionStats adds the session's counter deltas to server metrics.
 // Only the worker calls it, so the plain session counters stay race-free.
-func (c *serverConn) flushSessionStats() {
-	commits, aborts := c.sess.Stats()
-	c.srv.m.commits.Add(commits - c.lastCommits)
-	c.srv.m.aborts.Add(aborts - c.lastAborts)
-	c.lastCommits, c.lastAborts = commits, aborts
-	if ch, ok := c.sess.(db.ClockHealth); ok {
-		cmps, unc := ch.ClockStats()
-		c.srv.m.clockCmps.Add(cmps - c.lastCmps)
-		c.srv.m.clockUncertain.Add(unc - c.lastUncertain)
-		c.lastCmps, c.lastUncertain = cmps, unc
-	}
-}
+func (c *serverConn) flushSessionStats() { c.srv.m.flushSession(c.sess, &c.last) }
 
 // beginRunSpans starts one run's speculative span capture: reset the
 // scratch and record the queue span (wait already measured by the caller).
@@ -646,6 +648,9 @@ func (c *serverConn) finishRunSpans(d time.Duration) {
 // queued past it are dropped, because a client that framed garbage cannot
 // be trusted to have meant them.
 func (c *serverConn) process(run []item) error {
+	if c.broken.Load() {
+		return nil
+	}
 	if len(run) == 1 {
 		it := &run[0]
 		switch {
@@ -747,15 +752,13 @@ func (c *serverConn) countOps(reqs []wire.Request, resps []wire.Response) {
 // session (the batching that amortizes timestamp allocation, now also
 // across connections), and the worker gathers completions before writing
 // responses in request order. Commit/degrade semantics live in the lane
-// runner (lane.go) and are unchanged from the flat design.
+// runner (lane.go).
 //
 // In durable mode each lane appends its slice's acked write-set as one
-// redo record without blocking; the worker here performs the run's single
-// durability wait on the highest appended sequence, so one fsync still
-// covers the whole pipelined window and a stalled device parks this
-// connection, never a lane. A failed wait flips exactly the provisionally
-// acked writes to ERR, so the client never sees an acknowledgment the log
-// cannot honor.
+// redo record without blocking; the worker's awaitAck then performs the
+// run's single durability wait on the highest appended sequence, so one
+// fsync still covers the whole pipelined window and a stalled device parks
+// this connection, never a lane.
 //
 // The returned responses are backed by worker scratch and valid until the
 // next run.
@@ -772,8 +775,8 @@ func (c *serverConn) execBatch(reqs []wire.Request) []wire.Response {
 	resps := c.scratchResps(len(reqs))
 	c.scatter(reqs, resps)
 	c.submitGroups(shard.Ops)
-	maxSeq := c.gather()
-	c.waitDurable(reqs, resps, maxSeq)
+	seq, logErr, _ := c.gather()
+	c.awaitAck(seq, logErr, reqs, resps)
 	c.countOps(reqs, resps)
 	return resps
 }
@@ -801,14 +804,14 @@ func (c *serverConn) scatter(reqs []wire.Request, resps []wire.Response) {
 // submitGroups submits every non-empty scatter group as one batch of the
 // given kind, collecting the submitted set for gather. A submit that fails
 // (lanes closed — cannot happen while connections drain before lanes, but
-// guarded anyway) answers ERR in place.
-func (c *serverConn) submitGroups(kind shard.Kind) {
+// guarded anyway) answers ERR in place and is returned.
+func (c *serverConn) submitGroups(kind shard.Kind) (err error) {
 	c.subm = c.subm[:0]
 	for _, ln := range c.used {
 		b := c.laneBatch(ln)
 		b.Kind = kind
 		b.Reqs, b.Resps = c.greqs[ln], c.gresps[ln]
-		if err := c.ports.Submit(ln, b); err != nil {
+		if err = c.ports.Submit(ln, b); err != nil {
 			for _, rp := range c.gresps[ln] {
 				*rp = wire.Response{Kind: wire.RespEmpty, Status: wire.StatusErr}
 			}
@@ -816,56 +819,65 @@ func (c *serverConn) submitGroups(kind shard.Kind) {
 		}
 		c.subm = append(c.subm, b)
 	}
+	return err
 }
 
-// gather waits out every submitted batch and returns the highest WAL
-// durability sequence any lane appended (0 when nothing was logged).
-func (c *serverConn) gather() uint64 {
-	var maxSeq uint64
+// gather waits out every submitted batch and merges their outcomes: the
+// highest WAL durability sequence any lane appended (0 when nothing was
+// logged), any lane's append failure, and any Atomic batch's failure.
+func (c *serverConn) gather() (seq uint64, logErr, err error) {
 	for _, b := range c.subm {
 		b.Wait()
-		if b.Seq > maxSeq {
-			maxSeq = b.Seq
+		seq = max(seq, b.Seq)
+		if b.LogErr != nil {
+			logErr = b.LogErr
+		}
+		if b.Err != nil {
+			err = b.Err
 		}
 		if b.Panicked {
 			c.laneFatal = true
 		}
 	}
-	return maxSeq
+	return seq, logErr, err
 }
 
-// waitDurable performs the run's single group-commit wait. On failure it
-// erases exactly the provisional ack tokens the lanes stamped, flipping
-// those writes to the failure's status: ERR for device failures (the log
-// could not honor them — DESIGN.md §10, wal_unacked_writes), UNCERTAIN
-// for a replication-ack timeout (durable locally, replication pending).
-func (c *serverConn) waitDurable(reqs []wire.Request, resps []wire.Response, maxSeq uint64) {
-	if maxSeq == 0 || c.srv.gc == nil {
-		return
+// awaitAck is the ack step of the commit pipeline, shared by every durable
+// write shape. It performs the execution unit's single durability wait on
+// seq (a zero seq logged nothing) — unless the log step already failed —
+// and on failure erases the provisional acks: each write in reqs answered
+// OK flips to the failure's status, ERR for a device failure (the log
+// could not honor it — DESIGN.md §10, wal_unacked_writes) or UNCERTAIN for
+// a replication-ack timeout (durable locally, replication pending). A TXN
+// caller then answers the returned error for the whole TXN.
+func (c *serverConn) awaitAck(seq uint64, logErr error, reqs []wire.Request, resps []wire.Response) error {
+	err := logErr
+	if err == nil && seq != 0 {
+		var ackStart time.Time
+		if c.tel != nil {
+			ackStart = time.Now()
+		}
+		err = c.srv.gc.wait(seq)
+		if c.tel != nil {
+			d := time.Since(ackStart)
+			c.tel.ack.ObserveDuration(d)
+			c.noteSpan(span.StageAck, d)
+		}
 	}
-	var ackStart time.Time
-	if c.tel != nil {
-		ackStart = time.Now()
-	}
-	werr := c.srv.gc.wait(maxSeq)
-	if c.tel != nil {
-		d := time.Since(ackStart)
-		c.tel.ack.ObserveDuration(d)
-		c.noteSpan(span.StageAck, d)
-	}
-	if werr == nil {
-		return
+	if err == nil {
+		return nil
 	}
 	c.spanForce = true
-	status := wire.StatusOf(werr)
+	status := wire.StatusOf(err)
 	var flipped uint64
 	for i := range reqs {
-		if isWrite(reqs[i].Op) && resps[i].Status == wire.StatusOK && resps[i].TS != 0 {
+		if isWrite(reqs[i].Op) && resps[i].Status == wire.StatusOK {
 			resps[i] = wire.Response{Kind: wire.RespEmpty, Status: status}
 			flipped++
 		}
 	}
 	c.srv.m.walUnackedWrites.Add(flipped)
+	return err
 }
 
 // isWrite reports whether a simple op mutates engine state.
@@ -907,20 +919,11 @@ func (c *serverConn) execReadsOnly(reqs []wire.Request, countDegraded bool) []wi
 	}
 	resps := c.scratchResps(len(reqs))
 	for i := range reqs {
-		req := &reqs[i]
-		if !isRead(req.Op) {
+		if !isRead(reqs[i].Op) {
 			resps[i] = refusal
 			continue
 		}
-		err := db.RunWithRetry(c.sess, c.srv.cfg.MaxRetries, func(tx db.Tx) error {
-			r, err := c.srv.execOp(tx, req)
-			if err != nil {
-				return err
-			}
-			resps[i] = r
-			return nil
-		})
-		if err != nil {
+		if err := c.srv.runOps(c.sess, []*wire.Request{&reqs[i]}, []*wire.Response{&resps[i]}); err != nil {
 			resps[i] = wire.Response{Kind: wire.RespEmpty, Status: wire.StatusOf(err)}
 		}
 	}
@@ -928,55 +931,20 @@ func (c *serverConn) execReadsOnly(reqs []wire.Request, countDegraded bool) []wi
 	return resps
 }
 
-// closeWAL releases the connection's WAL handle so its slot recycles;
-// anything still buffered drains into the log's next flush.
-func (c *serverConn) closeWAL() {
-	if c.wh != nil {
-		c.wh.Close()
-	}
-}
-
-// commitTS returns the engine commit timestamp of the worker's last
-// successful transaction. New() guarantees the session implements
-// db.CommitTS whenever durable mode is on.
-func (c *serverConn) commitTS() uint64 {
-	return c.sess.(db.CommitTS).LastCommitTS()
-}
-
-// walCommitWrites logs a committed transaction's write-set as one redo
-// record and blocks until it is durable, returning the logged timestamp —
-// the durability token stamped on the write acks. The encode buffer is the
-// worker's reusable scratch: wal.Handle.AppendAt copies the record, so the
-// buffer is free again the moment append returns.
-func (c *serverConn) walCommitWrites(writes []*wire.Request) (uint64, error) {
-	redo, err := AppendRedo(c.redoBuf[:0], writes)
-	if err != nil {
-		return 0, err
-	}
-	c.redoBuf = redo
-	if c.tel == nil {
-		return c.srv.gc.commit(c.wh, c.commitTS(), redo)
-	}
-	start := time.Now()
-	ts, err := c.srv.gc.commitTrace(c.wh, c.commitTS(), redo, uint64(c.spanTrace))
-	d := time.Since(start)
-	c.tel.ack.ObserveDuration(d)
-	c.noteSpan(span.StageAck, d)
-	return ts, err
-}
-
-// execTxn runs one TXN frame atomically. A TXN whose keys all hash to one
-// lane rides that lane like any batch; a TXN spanning lanes takes the
-// cross-shard path — the Ordo-merged read for read-only TXNs, the parked-
-// lane barrier for writes. On commit the response carries per-op results;
-// on failure the batch status stands alone (the client retries or surfaces
-// it — partial results would be unordered fiction). In durable mode the
-// whole TXN acks only after its write-set is durable; a WAL failure turns
-// the committed-but-unloggable TXN into one ERR.
+// execTxn runs one TXN frame atomically through the same pipeline as a
+// run: execute on the lanes (or, for a multi-lane write, on the worker's
+// session while the involved lanes are parked), log the acked write-set as
+// one record, then awaitAck. A TXN whose keys all hash to one lane is one
+// Atomic lane batch; a read-only TXN spanning lanes is the Ordo-merged
+// cross-shard read. On commit the response carries per-op results; on
+// failure the batch status stands alone (the client retries or surfaces
+// it — partial results would be unordered fiction), so a failed durability
+// wait turns the whole committed-but-unacked TXN into one ERR or
+// UNCERTAIN.
 func (c *serverConn) execTxn(req *wire.Request) wire.Response {
 	c.srv.m.txns.Add(1)
 	c.srv.m.txnOps.Add(uint64(len(req.Ops)))
-	if c.srv.ReadOnly() && txnHasWrites(req) {
+	if c.srv.ReadOnly() && runHasWrites(req.Ops) {
 		if st := c.srv.cfg.Repl; st != nil && st.Role() == RoleFollower {
 			// RespBatch cannot carry a redirect address; the NOT_LEADER
 			// status alone tells the client to re-resolve the leader.
@@ -984,82 +952,64 @@ func (c *serverConn) execTxn(req *wire.Request) wire.Response {
 		}
 		return wire.Response{Kind: wire.RespBatch, Status: wire.StatusErr}
 	}
-	if gc := c.srv.gc; gc != nil && gc.failed() != nil && txnHasWrites(req) {
+	if gc := c.srv.gc; gc != nil && gc.failed() != nil && runHasWrites(req.Ops) {
 		c.srv.m.degraded.Add(1)
 		return wire.Response{Kind: wire.RespBatch, Status: wire.StatusErr}
 	}
-	if single := c.txnLanes(req); single >= 0 {
-		return c.execTxnSingleLane(req, single)
+	resps := make([]wire.Response, len(req.Ops))
+	var seq uint64
+	var logErr, err error
+	switch {
+	case c.txnLanes(req) <= 1:
+		seq, logErr, err = c.execAtomic(req, resps)
+	case runHasWrites(req.Ops):
+		c.srv.m.crossTxns.Add(1)
+		seq, logErr, err = c.execParked(req, resps)
+	default:
+		return c.execTxnCrossRead(req, resps)
 	}
-	if txnHasWrites(req) {
-		return c.execTxnCrossWrite(req)
+	if err == nil {
+		err = c.awaitAck(seq, logErr, req.Ops, resps)
 	}
-	return c.execTxnCrossRead(req)
+	return txnResponse(resps, err)
+}
+
+// txnResponse is a TXN's answer: the per-op results on commit, the bare
+// failure status otherwise.
+func txnResponse(resps []wire.Response, err error) wire.Response {
+	if err != nil {
+		return wire.Response{Kind: wire.RespBatch, Status: wire.StatusOf(err)}
+	}
+	return wire.Response{Kind: wire.RespBatch, Status: wire.StatusOK, Batch: resps}
 }
 
 // txnLanes marks the lanes a TXN's keys route to in c.laneMark and returns
-// the lane index if exactly one is involved, -1 otherwise. An empty TXN
-// routes to lane 0.
+// how many are involved.
 func (c *serverConn) txnLanes(req *wire.Request) int {
 	for i := range c.laneMark {
 		c.laneMark[i] = false
 	}
-	lanes := c.srv.lanes
-	if len(req.Ops) == 0 {
-		c.laneMark[0] = true
-		return 0
-	}
-	n, last := 0, -1
+	n := 0
 	for i := range req.Ops {
-		ln := lanes.Route(req.Ops[i].Key)
-		if !c.laneMark[ln] {
+		if ln := c.srv.lanes.Route(req.Ops[i].Key); !c.laneMark[ln] {
 			c.laneMark[ln] = true
 			n++
-			last = ln
 		}
 	}
-	if n == 1 {
-		return last
-	}
-	return -1
+	return n
 }
 
-// execTxnSingleLane runs a lane-confined TXN on its owning lane. The lane
-// appends the redo record without blocking; the worker waits here, and a
-// failed wait downgrades the whole TXN to one ERR — all-or-nothing ack.
-func (c *serverConn) execTxnSingleLane(req *wire.Request, lane int) wire.Response {
-	var resp wire.Response
-	b := c.laneBatch(lane)
-	b.Kind = shard.Txn
-	treq := [1]*wire.Request{req}
-	tresp := [1]*wire.Response{&resp}
-	b.Reqs, b.Resps = treq[:], tresp[:]
-	if err := c.ports.Submit(lane, b); err != nil {
-		return wire.Response{Kind: wire.RespBatch, Status: wire.StatusErr}
+// execAtomic scatters a TXN's ops to their lanes as Atomic batches — each
+// lane runs its slice as one engine transaction and logs its acked writes
+// — and gathers the outcome. err is any lane's failure: a submit refused,
+// an engine abort, or a panic.
+func (c *serverConn) execAtomic(req *wire.Request, resps []wire.Response) (seq uint64, logErr, err error) {
+	c.scatter(req.Ops, resps)
+	serr := c.submitGroups(shard.Atomic)
+	if seq, logErr, err = c.gather(); err == nil {
+		err = serr
 	}
-	b.Wait()
-	if b.Panicked {
-		c.laneFatal = true
-	}
-	if b.Seq != 0 {
-		var ackStart time.Time
-		if c.tel != nil {
-			ackStart = time.Now()
-		}
-		werr := c.srv.gc.wait(b.Seq)
-		if c.tel != nil {
-			d := time.Since(ackStart)
-			c.tel.ack.ObserveDuration(d)
-			c.noteSpan(span.StageAck, d)
-		}
-		if werr != nil {
-			c.spanForce = true
-			c.srv.m.walUnackedWrites.Add(uint64(b.WalWrites))
-			// ERR for device failure, UNCERTAIN for an ack timeout.
-			return wire.Response{Kind: wire.RespBatch, Status: wire.StatusOf(werr)}
-		}
-	}
-	return resp
+	return seq, logErr, err
 }
 
 // parkInvolved submits a Hold barrier to every lane marked in c.laneMark
@@ -1089,86 +1039,67 @@ func (c *serverConn) parkInvolved() func() {
 	}
 }
 
-// execTxnCrossWrite coordinates a multi-lane writing TXN: park every
-// involved lane, execute atomically on the worker's own session (the
-// engine's concurrency control still backs it), log the whole write-set as
-// ONE redo record on the coordinator handle — split per-lane records could
-// replay a torn transfer after a crash — and publish the commit timestamp
-// onto every involved lane's board BEFORE releasing them, so a subsequent
+// execParked runs a multi-lane TXN on the worker's own session while every
+// involved lane is parked — the path of every cross-lane write, and of a
+// cross-lane read that lost its optimistic passes. The engine's
+// concurrency control still backs it. The acked write-set is logged as ONE
+// record on the coordinator stream — split per-lane records could replay a
+// torn transfer after a crash — and its commit timestamp is published onto
+// every involved lane's board BEFORE the lanes are released, so a later
 // cross-shard read's stability check cannot miss this commit.
 // Coordinators serialize on crossMu: overlapping lane subsets parked in
 // arbitrary order would deadlock otherwise.
-func (c *serverConn) execTxnCrossWrite(req *wire.Request) wire.Response {
+//
+// The caller's durability wait happens after crossMu and the lanes are
+// released. That is sound because the wait is on a sequence: any append
+// made after this one — by a lane this TXN parked or by the next
+// coordinator — gets a higher durability sequence, and the flush that
+// covers it covers this record too, so no later write can be acked before
+// this one is durable. Readers may see the committed TXN before it is
+// durable: the same window §10 gives every lane write.
+func (c *serverConn) execParked(req *wire.Request, resps []wire.Response) (seq uint64, logErr, err error) {
 	srv := c.srv
-	srv.m.crossTxns.Add(1)
 	// Cross-shard transactions are always traced: they are the requests
 	// whose ordering story spans the most machinery.
 	c.forceTrace()
-	srv.crossMu.Lock()
-	defer srv.crossMu.Unlock()
-	release := c.parkInvolved()
-	defer release()
-
-	resps := make([]wire.Response, len(req.Ops))
-	err := db.RunWithRetry(c.sess, srv.cfg.MaxRetries, func(tx db.Tx) error {
-		for i := range req.Ops {
-			r, err := srv.execOp(tx, &req.Ops[i])
-			if err != nil {
-				return err
-			}
-			resps[i] = r
-		}
-		return nil
-	})
-	if err != nil {
-		return wire.Response{Kind: wire.RespBatch, Status: wire.StatusOf(err)}
+	c.txnReqs, c.txnResps = c.txnReqs[:0], c.txnResps[:0]
+	for i := range req.Ops {
+		c.txnReqs = append(c.txnReqs, &req.Ops[i])
+		c.txnResps = append(c.txnResps, &resps[i])
 	}
-	if c.wh != nil {
-		writes := c.writePtrs[:0]
-		for i := range req.Ops {
-			if isWrite(req.Ops[i].Op) && resps[i].Status == wire.StatusOK {
-				writes = append(writes, &req.Ops[i])
-			}
+	var cts uint64
+	err = func() error {
+		srv.crossMu.Lock()
+		defer srv.crossMu.Unlock()
+		release := c.parkInvolved()
+		defer release()
+		if c.broken.Load() {
+			return errConnBroken
 		}
-		c.writePtrs = writes
-		if len(writes) > 0 {
-			ts, werr := c.walCommitWrites(writes)
-			if werr != nil {
-				srv.m.walUnackedWrites.Add(uint64(len(writes)))
-				// ERR for device failure, UNCERTAIN for an ack timeout.
-				return wire.Response{Kind: wire.RespBatch, Status: wire.StatusOf(werr)}
-			}
-			// The ack token rides the per-op sub-responses: RespBatch itself
-			// carries no TS on the wire.
-			for i := range req.Ops {
-				if isWrite(req.Ops[i].Op) && resps[i].Status == wire.StatusOK {
-					resps[i].TS = ts
-				}
-			}
+		if err := srv.runOps(c.sess, c.txnReqs, c.txnResps); err != nil {
+			return err
 		}
-	}
-	if cs, ok := c.sess.(db.CommitTS); ok {
-		cts := cs.LastCommitTS()
+		cts, seq, logErr = c.log.logAcked(c.sess, c.txnReqs, c.txnResps, uint64(c.spanTrace))
 		for ln, in := range c.laneMark {
-			if in {
+			if in && cts != 0 {
 				srv.lanes.Lane(ln).Publish(cts)
 			}
 		}
-		// Commit span at the commit timestamp itself when the node can
-		// convert engine ticks to the span clock's scale; the coordinator
-		// path has no lane span — the involved lanes were parked, not
-		// executing.
-		if c.spans != nil && c.spanN > 0 && c.spanN < len(c.spanBuf) {
-			now, unc := c.spans.Now()
-			ts := c.spans.ConvTicks(cts)
-			if ts == 0 {
-				ts = now
-			}
-			c.spanBuf[c.spanN] = span.Span{Stage: span.StageCommit, TS: ts, Unc: unc, Lane: -1}
-			c.spanN++
+		return nil
+	}()
+	// Commit span at the commit timestamp itself when the node can convert
+	// engine ticks to the span clock's scale; the coordinator path has no
+	// lane span — the involved lanes were parked, not executing.
+	if cts != 0 && c.spans != nil && c.spanN > 0 && c.spanN < len(c.spanBuf) {
+		now, unc := c.spans.Now()
+		ts := c.spans.ConvTicks(cts)
+		if ts == 0 {
+			ts = now
 		}
+		c.spanBuf[c.spanN] = span.Span{Stage: span.StageCommit, TS: ts, Unc: unc, Lane: -1}
+		c.spanN++
 	}
-	return wire.Response{Kind: wire.RespBatch, Status: wire.StatusOK, Batch: resps}
+	return seq, logErr, err
 }
 
 // crossReadAttempts bounds the optimistic passes of a cross-shard read
@@ -1181,15 +1112,16 @@ const crossReadAttempts = 3
 // per-lane, then decide with timestamp comparison whether the per-lane
 // answers form one consistent cut. Each pass snapshots the involved lanes'
 // publication boards (V1), scatters the reads, and snapshots again (V2).
-// Lanes publish before acking, so if V1 == V2 no write that any client
-// could have observed landed between the reads — the merge is a consistent
-// cut. If a board moved, cmp_time against the read's start classifies the
-// interfering commit: inside the uncertainty window the server answers
-// NOT_YET (the paper's honest refusal — order is not yet decidable, the
-// client retries with the board timestamp in hand); definitely ordered
-// commits just mean we raced a writer, so retry optimistically, and after
-// crossReadAttempts fall back to parking the involved lanes.
-func (c *serverConn) execTxnCrossRead(req *wire.Request) wire.Response {
+// Lanes publish every acked write before acking it, and reads publish
+// nothing, so if V1 == V2 no write that any client could have observed
+// landed between the reads — the merge is a consistent cut. If a board
+// moved, cmp_time against the read's start classifies the interfering
+// commit: inside the uncertainty window the server answers NOT_YET (the
+// paper's honest refusal — order is not yet decidable, the client retries
+// with the board timestamp in hand); definitely ordered commits just mean
+// we raced a writer, so retry optimistically, and after crossReadAttempts
+// fall back to parking the involved lanes.
+func (c *serverConn) execTxnCrossRead(req *wire.Request, resps []wire.Response) wire.Response {
 	srv := c.srv
 	srv.m.crossReads.Add(1)
 	// Forced before the first scatter so the lane batches carry the ID.
@@ -1198,26 +1130,10 @@ func (c *serverConn) execTxnCrossRead(req *wire.Request) wire.Response {
 	if ord := srv.cfg.Ordo; ord != nil {
 		startTS = uint64(ord.GetTime())
 	}
-	resps := make([]wire.Response, len(req.Ops))
 	for attempt := 0; attempt < crossReadAttempts; attempt++ {
 		c.tsV1 = srv.lanes.Published(c.tsV1)
-		c.scatter(req.Ops, resps)
-		c.submitGroups(shard.TxnRead)
-		var berr error
-		for _, b := range c.subm {
-			b.Wait()
-			if b.Err != nil {
-				berr = b.Err
-			}
-			if b.Panicked {
-				c.laneFatal = true
-			}
-		}
-		if c.laneFatal {
-			return wire.Response{Kind: wire.RespBatch, Status: wire.StatusErr}
-		}
-		if berr != nil {
-			return wire.Response{Kind: wire.RespBatch, Status: wire.StatusOf(berr)}
+		if _, _, err := c.execAtomic(req, resps); err != nil {
+			return txnResponse(nil, err)
 		}
 		c.tsV2 = srv.lanes.Published(c.tsV2)
 		stable, uncertain, high := true, false, uint64(0)
@@ -1226,16 +1142,14 @@ func (c *serverConn) execTxnCrossRead(req *wire.Request) wire.Response {
 				continue
 			}
 			stable = false
-			if c.tsV2[ln] > high {
-				high = c.tsV2[ln]
-			}
+			high = max(high, c.tsV2[ln])
 			if ord := srv.cfg.Ordo; ord != nil &&
 				ord.CmpTime(core.Time(startTS), core.Time(c.tsV2[ln])) == 0 {
 				uncertain = true
 			}
 		}
 		if stable {
-			return wire.Response{Kind: wire.RespBatch, Status: wire.StatusOK, Batch: resps}
+			return txnResponse(resps, nil)
 		}
 		if uncertain {
 			// Only inside the uncertainty window: the client genuinely
@@ -1246,36 +1160,10 @@ func (c *serverConn) execTxnCrossRead(req *wire.Request) wire.Response {
 		}
 		srv.m.crossRetries.Add(1)
 	}
-	// Stable conflict pressure: take the pessimistic barrier and read on
-	// the worker session while the involved lanes are parked.
-	srv.crossMu.Lock()
-	defer srv.crossMu.Unlock()
-	release := c.parkInvolved()
-	defer release()
-	err := db.RunWithRetry(c.sess, srv.cfg.MaxRetries, func(tx db.Tx) error {
-		for i := range req.Ops {
-			r, err := srv.execOp(tx, &req.Ops[i])
-			if err != nil {
-				return err
-			}
-			resps[i] = r
-		}
-		return nil
-	})
-	if err != nil {
-		return wire.Response{Kind: wire.RespBatch, Status: wire.StatusOf(err)}
-	}
-	return wire.Response{Kind: wire.RespBatch, Status: wire.StatusOK, Batch: resps}
-}
-
-// txnHasWrites reports whether a TXN frame contains any mutating sub-op.
-func txnHasWrites(req *wire.Request) bool {
-	for i := range req.Ops {
-		if isWrite(req.Ops[i].Op) {
-			return true
-		}
-	}
-	return false
+	// Stable conflict pressure: take the pessimistic barrier. A read-only
+	// TXN logs nothing, so there is no durability to wait for.
+	_, _, err := c.execParked(req, resps)
+	return txnResponse(resps, err)
 }
 
 // execStats answers a STATS frame from server metrics.

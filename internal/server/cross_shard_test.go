@@ -428,3 +428,51 @@ func xsReader(r int, faultAddr string, stop *atomic.Bool, okReads *atomic.Uint64
 	}
 	return nil
 }
+
+// TestCrossShardReadFirstPass pins that reads never move the publication
+// boards: on an idle two-lane server, a read-only TXN spanning both lanes
+// must find V1 == V2 on its first optimistic pass — no retry, and no Hold
+// parking either lane. A lane that published the commit timestamp of its
+// own read slice would fail every pass and fall back to the barrier.
+func TestCrossShardReadFirstPass(t *testing.T) {
+	cfg := newYCSBServer(t, db.OCC)
+	cfg.Shards = 2
+	ts, cleanup := startServer(t, cfg)
+	defer cleanup()
+	c := ts.c
+
+	var keys [2]uint64
+	for k := uint64(1); keys[1] == 0; k++ {
+		if ln := ts.srv.lanes.Route(k); keys[ln] == 0 {
+			keys[ln] = k
+		}
+	}
+	txn := &wire.Request{Op: wire.OpTxn}
+	for _, k := range keys {
+		if r, err := c.Do(&wire.Request{Op: wire.OpInsert, Key: k, Vals: row(int(k))}); err != nil || r.Status != wire.StatusOK {
+			t.Fatalf("insert %d: %v %v", k, r.Status, err)
+		}
+		txn.Ops = append(txn.Ops, wire.Request{Op: wire.OpGet, Key: k})
+	}
+	for i := 0; i < 3; i++ {
+		r, err := c.Do(txn)
+		if err != nil || r.Status != wire.StatusOK || len(r.Batch) != 2 {
+			t.Fatalf("cross-lane read %d: %+v %v", i, r, err)
+		}
+		for j, k := range keys {
+			if r.Batch[j].Status != wire.StatusOK || r.Batch[j].Row[0] != k {
+				t.Fatalf("cross-lane read %d op %d: %+v, want key %d's row", i, j, r.Batch[j], k)
+			}
+		}
+	}
+	snap := ts.srv.Snapshot()
+	if snap.CrossReads != 3 || snap.CrossRetries != 0 || snap.CrossNotYet != 0 {
+		t.Fatalf("cross_shard_reads=%d retries=%d not_yet=%d, want 3 reads served on the first pass",
+			snap.CrossReads, snap.CrossRetries, snap.CrossNotYet)
+	}
+	for ln := 0; ln < ts.srv.lanes.N(); ln++ {
+		if h := ts.srv.lanes.Lane(ln).Holds(); h != 0 {
+			t.Fatalf("lane %d served %d holds, want 0", ln, h)
+		}
+	}
+}

@@ -1,18 +1,22 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"runtime/debug"
 
 	"ordo/internal/db"
 	"ordo/internal/shard"
 	"ordo/internal/telemetry/span"
-	"ordo/internal/wal"
 	"ordo/internal/wire"
 )
 
+// errLanePanic is the batch-level failure of an Atomic batch whose
+// execution panicked the lane's engine session.
+var errLanePanic = errors.New("server: lane panicked")
+
 // laneRunner is the server-side policy for one shard lane: it owns the
-// lane's engine session and WAL append handle, and executes the batches
+// lane's engine session and WAL append stream, and executes the batches
 // the lane goroutine drains from connection rings. The session is touched
 // only by the lane goroutine, matching db.Session's single-goroutine
 // contract — the single-writer discipline that keeps a partition's writes
@@ -26,22 +30,19 @@ type laneRunner struct {
 	srv  *Server
 	id   int
 	sess db.Session
-	// wh is the lane's WAL append buffer in durable mode (nil otherwise);
-	// closed by Server.closeLanes after the lane goroutine exits.
-	wh *wal.Handle
+	// log is the lane's WAL append stream; its handle (nil without a WAL)
+	// is closed by Server.closeLanes after the lane goroutine exits.
+	log walStream
 
-	// Lane-goroutine-owned scratch, reused across batches.
-	redoBuf   []byte
-	writePtrs []*wire.Request
-
-	// Session-counter baselines for delta-flushing into server metrics.
-	lastCommits, lastAborts uint64
-	lastCmps, lastUncertain uint64
+	// last is the lane session's counters at the previous flush.
+	last sessCounters
 }
 
 // exec is the lane's shard.Exec callback. It returns the engine commit
-// timestamp to publish on the lane's ordering board; the lane publishes it
-// before completing the batch, so publication always precedes the ack.
+// timestamp to publish on the lane's ordering board — only for a batch
+// that acked a write, so reads never move the boards a cross-shard read
+// checks; the lane publishes it before completing the batch, so
+// publication always precedes the ack.
 func (r *laneRunner) exec(b *shard.Batch) (publish uint64) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -51,20 +52,17 @@ func (r *laneRunner) exec(b *shard.Batch) (publish uint64) {
 			// Answer ERR for every slot the batch carries so the stream
 			// stays ordered, then replace the poisoned session: the lane
 			// must keep serving every other connection's partition.
-			kind := wire.RespEmpty
-			if b.Kind == shard.Txn {
-				kind = wire.RespBatch
-			}
-			for i := range b.Resps {
-				*b.Resps[i] = wire.Response{Kind: kind, Status: wire.StatusErr}
-			}
-			b.Seq, b.WalWrites, b.Err = 0, 0, nil
+			failBatch(b, errLanePanic)
 			b.Panicked = true
 			r.sess = r.srv.cfg.DB.NewSession()
-			r.lastCommits, r.lastAborts, r.lastCmps, r.lastUncertain = 0, 0, 0, 0
+			r.last = sessCounters{}
 			publish = 0
 		}
 	}()
+	if b.Abandoned != nil && b.Abandoned.Load() {
+		failBatch(b, errConnBroken)
+		return 0
+	}
 	// Traced batches time the lane's execution with the span clock; the
 	// decision was made by the submitting worker, so untraced batches pay
 	// only the nil/zero check.
@@ -74,19 +72,12 @@ func (r *laneRunner) exec(b *shard.Batch) (publish uint64) {
 	if traced {
 		laneStart, laneUnc = ring.Now()
 	}
-	switch b.Kind {
-	case shard.Ops:
-		r.execOps(b)
-	case shard.Txn:
-		r.execTxn(b)
-	case shard.TxnRead:
-		r.execTxnRead(b)
+	if b.Kind == shard.Ops {
+		publish = r.execOps(b)
+	} else if b.Err = r.srv.runOps(r.sess, b.Reqs, b.Resps); b.Err == nil {
+		publish = r.logAcked(b, b.Reqs, b.Resps)
 	}
 	r.flushSessionStats()
-	var cts uint64
-	if cs, ok := r.sess.(db.CommitTS); ok {
-		cts = cs.LastCommitTS()
-	}
 	if traced {
 		now, unc := ring.Now()
 		var dur uint64
@@ -95,10 +86,10 @@ func (r *laneRunner) exec(b *shard.Batch) (publish uint64) {
 		}
 		ring.Record(span.Span{Trace: span.TraceID(b.Trace), Stage: span.StageLane,
 			TS: laneStart, Unc: laneUnc, Dur: dur, Lane: int32(r.id)})
-		if cts != 0 {
+		if publish != 0 {
 			// The commit span sits at the commit timestamp itself when the
 			// node can convert engine ticks to the span clock's scale.
-			ts := ring.ConvTicks(cts)
+			ts := ring.ConvTicks(publish)
 			if ts == 0 {
 				ts = now
 			}
@@ -106,210 +97,61 @@ func (r *laneRunner) exec(b *shard.Batch) (publish uint64) {
 				TS: ts, Unc: unc, Lane: int32(r.id)})
 		}
 	}
-	return cts
+	return publish
+}
+
+// failBatch answers ERR in every slot of b and fails it with err, logging
+// nothing.
+func failBatch(b *shard.Batch, err error) {
+	for i := range b.Resps {
+		*b.Resps[i] = wire.Response{Kind: wire.RespEmpty, Status: wire.StatusErr}
+	}
+	b.Seq, b.LogErr, b.Err = 0, nil, err
 }
 
 // execOps runs one lane's slice of a pipelined simple-op run as a single
 // engine transaction — the batching that amortizes timestamp allocation,
-// now also across connections that routed into the same lane. The commit/
-// degrade semantics mirror the pre-shard per-connection path exactly: a
-// batch that cannot commit falls back to per-op transactions so every op
-// gets an attributable status, counted under degraded rather than batches.
-func (r *laneRunner) execOps(b *shard.Batch) {
+// now also across connections that routed into the same lane. A batch
+// that cannot commit falls back to per-op transactions so every op gets an
+// attributable status, counted under degraded rather than batches; each
+// committed write then logs its own record, and the worker's single
+// durability wait on the batch's highest sequence covers them all.
+func (r *laneRunner) execOps(b *shard.Batch) (publish uint64) {
 	srv := r.srv
-	reqs, resps := b.Reqs, b.Resps
-	err := db.RunWithRetry(r.sess, srv.cfg.MaxRetries, func(tx db.Tx) error {
-		for i := range reqs {
-			resp, err := srv.execOp(tx, reqs[i])
-			if err != nil {
-				return err
-			}
-			*resps[i] = resp
-		}
-		return nil
-	})
+	err := srv.runOps(r.sess, b.Reqs, b.Resps)
 	if err == nil {
-		r.walAppendRun(b)
 		srv.m.batches.Add(1)
-		srv.m.batchedOps.Add(uint64(len(reqs)))
-		return
+		srv.m.batchedOps.Add(uint64(len(b.Reqs)))
+		return r.logAcked(b, b.Reqs, b.Resps)
 	}
 	srv.m.degraded.Add(1)
-	if len(reqs) == 1 {
-		*resps[0] = wire.Response{Kind: wire.RespEmpty, Status: wire.StatusOf(err)}
-		return
+	if len(b.Reqs) == 1 {
+		*b.Resps[0] = wire.Response{Kind: wire.RespEmpty, Status: wire.StatusOf(err)}
+		return 0
 	}
-	// Degraded path: per-op transactions for status attribution. Each
-	// committed write appends its own redo record; the worker's single
-	// durability wait on the batch's last sequence covers them all.
-	for i := range reqs {
-		req := reqs[i]
-		err := db.RunWithRetry(r.sess, srv.cfg.MaxRetries, func(tx db.Tx) error {
-			resp, err := srv.execOp(tx, req)
-			if err != nil {
-				return err
-			}
-			*resps[i] = resp
-			return nil
-		})
-		if err != nil {
-			*resps[i] = wire.Response{Kind: wire.RespEmpty, Status: wire.StatusOf(err)}
+	for i := range b.Reqs {
+		reqs, resps := b.Reqs[i:i+1], b.Resps[i:i+1]
+		if err := srv.runOps(r.sess, reqs, resps); err != nil {
+			*resps[0] = wire.Response{Kind: wire.RespEmpty, Status: wire.StatusOf(err)}
 			continue
 		}
-		if r.wh != nil && isWrite(req.Op) && resps[i].Status == wire.StatusOK {
-			r.writePtrs = append(r.writePtrs[:0], req)
-			seq, ts, aerr := r.walAppend(r.writePtrs, b.Trace)
-			if aerr != nil {
-				srv.m.walUnackedWrites.Add(1)
-				*resps[i] = wire.Response{Kind: wire.RespEmpty, Status: wire.StatusErr}
-				continue
-			}
-			resps[i].TS = ts // provisional ack token; the worker erases it if the wait fails
-			b.Seq = seq
-			b.WalWrites++
-		}
+		publish = max(publish, r.logAcked(b, reqs, resps))
 	}
+	return publish
 }
 
-// execTxn runs a TXN frame whose keys all route to this lane, atomically
-// on the lane session. The response goes through *b.Resps[0]; provisional
-// durability tokens ride the sub-responses and the worker downgrades the
-// whole TXN to ERR if the group-commit wait fails (same all-or-nothing ack
-// the pre-shard path had).
-func (r *laneRunner) execTxn(b *shard.Batch) {
-	srv := r.srv
-	req, out := b.Reqs[0], b.Resps[0]
-	resps := make([]wire.Response, len(req.Ops))
-	err := db.RunWithRetry(r.sess, srv.cfg.MaxRetries, func(tx db.Tx) error {
-		for i := range req.Ops {
-			resp, err := srv.execOp(tx, &req.Ops[i])
-			if err != nil {
-				return err
-			}
-			resps[i] = resp
-		}
-		return nil
-	})
+// logAcked logs one committed transaction's acked writes on the lane's
+// stream and folds the outcome into the batch for the worker's awaitAck.
+func (r *laneRunner) logAcked(b *shard.Batch, reqs []*wire.Request, resps []*wire.Response) uint64 {
+	cts, seq, err := r.log.logAcked(r.sess, reqs, resps, b.Trace)
+	b.Seq = max(b.Seq, seq)
 	if err != nil {
-		*out = wire.Response{Kind: wire.RespBatch, Status: wire.StatusOf(err)}
-		return
+		b.LogErr = err
 	}
-	if r.wh != nil {
-		writes := r.writePtrs[:0]
-		for i := range req.Ops {
-			if isWrite(req.Ops[i].Op) && resps[i].Status == wire.StatusOK {
-				writes = append(writes, &req.Ops[i])
-			}
-		}
-		r.writePtrs = writes
-		if len(writes) > 0 {
-			seq, ts, aerr := r.walAppend(writes, b.Trace)
-			if aerr != nil {
-				srv.m.walUnackedWrites.Add(uint64(len(writes)))
-				*out = wire.Response{Kind: wire.RespBatch, Status: wire.StatusErr}
-				return
-			}
-			for i := range req.Ops {
-				if isWrite(req.Ops[i].Op) && resps[i].Status == wire.StatusOK {
-					resps[i].TS = ts
-				}
-			}
-			b.Seq, b.WalWrites = seq, len(writes)
-		}
-	}
-	*out = wire.Response{Kind: wire.RespBatch, Status: wire.StatusOK, Batch: resps}
-}
-
-// execTxnRead runs one lane's slice of a cross-shard read-only TXN as a
-// single read-only engine transaction. Failures are batch-level (Err): the
-// coordinator owns atomicity, so partial per-op statuses would be fiction.
-func (r *laneRunner) execTxnRead(b *shard.Batch) {
-	srv := r.srv
-	b.Err = db.RunWithRetry(r.sess, srv.cfg.MaxRetries, func(tx db.Tx) error {
-		for i := range b.Reqs {
-			resp, err := srv.execOp(tx, b.Reqs[i])
-			if err != nil {
-				return err
-			}
-			*b.Resps[i] = resp
-		}
-		return nil
-	})
-}
-
-// walAppendRun logs a committed batch's acked write-set as one redo record
-// at the engine commit timestamp, without waiting for durability: the
-// worker waits on b.Seq. Provisional ack tokens are stamped now; the
-// worker erases them if its wait fails. An append failure (device already
-// failed) flips the would-be-acked writes to ERR immediately.
-func (r *laneRunner) walAppendRun(b *shard.Batch) {
-	if r.wh == nil {
-		return
-	}
-	reqs, resps := b.Reqs, b.Resps
-	writes := r.writePtrs[:0]
-	for i := range reqs {
-		if isWrite(reqs[i].Op) && resps[i].Status == wire.StatusOK {
-			writes = append(writes, reqs[i])
-		}
-	}
-	r.writePtrs = writes
-	if len(writes) == 0 {
-		return
-	}
-	seq, ts, err := r.walAppend(writes, b.Trace)
-	if err != nil {
-		r.srv.m.walUnackedWrites.Add(uint64(len(writes)))
-		for i := range reqs {
-			if isWrite(reqs[i].Op) && resps[i].Status == wire.StatusOK {
-				*resps[i] = wire.Response{Kind: wire.RespEmpty, Status: wire.StatusErr}
-			}
-		}
-		return
-	}
-	for i := range reqs {
-		if isWrite(reqs[i].Op) && resps[i].Status == wire.StatusOK {
-			resps[i].TS = ts
-		}
-	}
-	b.Seq, b.WalWrites = seq, len(writes)
-}
-
-// walAppend encodes one redo record for writes and appends it at the lane
-// session's commit timestamp, returning the durability sequence and the
-// logged timestamp. It never blocks on the device. A nonzero trace rides
-// the record to the flusher and replication source, and emits the
-// wal_append span here.
-func (r *laneRunner) walAppend(writes []*wire.Request, trace uint64) (seq, ts uint64, err error) {
-	redo, err := AppendRedo(r.redoBuf[:0], writes)
-	if err != nil {
-		return 0, 0, err
-	}
-	r.redoBuf = redo
-	cts := r.sess.(db.CommitTS).LastCommitTS()
-	seq, ts, err = r.srv.gc.appendTrace(r.wh, cts, redo, trace)
-	if err == nil && trace != 0 {
-		if ring := r.srv.spanRing(); ring != nil {
-			now, unc := ring.Now()
-			ring.Record(span.Span{Trace: span.TraceID(trace), Stage: span.StageWALAppend,
-				TS: now, Unc: unc, Lane: int32(r.id)})
-		}
-	}
-	return seq, ts, err
+	return cts
 }
 
 // flushSessionStats adds the lane session's counter deltas to server
 // metrics. Only the lane goroutine calls it, so the plain session counters
 // stay race-free.
-func (r *laneRunner) flushSessionStats() {
-	commits, aborts := r.sess.Stats()
-	r.srv.m.commits.Add(commits - r.lastCommits)
-	r.srv.m.aborts.Add(aborts - r.lastAborts)
-	r.lastCommits, r.lastAborts = commits, aborts
-	if ch, ok := r.sess.(db.ClockHealth); ok {
-		cmps, unc := ch.ClockStats()
-		r.srv.m.clockCmps.Add(cmps - r.lastCmps)
-		r.srv.m.clockUncertain.Add(unc - r.lastUncertain)
-		r.lastCmps, r.lastUncertain = cmps, unc
-	}
-}
+func (r *laneRunner) flushSessionStats() { r.srv.m.flushSession(r.sess, &r.last) }

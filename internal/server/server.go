@@ -96,8 +96,9 @@ type Config struct {
 	Monitor *health.Monitor
 
 	// WAL, when set, enables durable serving: committed write-sets append
-	// redo records to per-connection handles and responses are withheld
-	// until a group-commit flush covers the batch's commit timestamp. The
+	// redo records to per-lane handles (cross-lane TXNs to their
+	// coordinator's) and responses are withheld until a group-commit flush
+	// covers the appended record. The
 	// engine must expose commit timestamps (db.CommitTS) — the OCC and
 	// Hekaton families do; Silo and TicToc have no machine-wide commit
 	// point and cannot serve durably. The server owns flushing but not the
@@ -121,8 +122,8 @@ type Config struct {
 	// acknowledgment: after a write's redo is locally durable, the ack is
 	// additionally withheld until a follower of the current incarnation
 	// has acknowledged the covering flush (Server.NoteReplAck), or until
-	// this bound elapses — in which case the write is answered ERR, like
-	// a WAL failure. While no follower is subscribed the gate is waived
+	// this bound elapses — in which case the write is answered UNCERTAIN:
+	// durable locally, replication unconfirmed. While no follower is subscribed the gate is waived
 	// by the repl source advancing the ack with its own tail (crash-stop
 	// single-failure model: with zero followers there is nobody to
 	// promote, so gating would buy nothing and block everything). Zero
@@ -203,10 +204,10 @@ type metrics struct {
 	crossTxns, crossReads     atomic.Uint64
 	crossRetries, crossNotYet atomic.Uint64
 	busy                      atomic.Uint64
-	degraded            atomic.Uint64
-	protoErrs           atomic.Uint64
-	evictions           atomic.Uint64
-	panics              atomic.Uint64
+	degraded                  atomic.Uint64
+	protoErrs                 atomic.Uint64
+	evictions                 atomic.Uint64
+	panics                    atomic.Uint64
 
 	commits, aborts           atomic.Uint64
 	clockCmps, clockUncertain atomic.Uint64
@@ -219,6 +220,26 @@ type metrics struct {
 	// (DESIGN.md §10), so operators can see how much unlogged state a
 	// degraded engine is serving.
 	walUnackedWrites atomic.Uint64
+}
+
+// sessCounters is one engine session's counters as of its last flush into
+// the server metrics.
+type sessCounters struct{ commits, aborts, cmps, uncertain uint64 }
+
+// flushSession adds sess's counter deltas since *last to the metrics. Only
+// the session's owner goroutine calls it, so the plain session counters
+// stay race-free.
+func (m *metrics) flushSession(sess db.Session, last *sessCounters) {
+	commits, aborts := sess.Stats()
+	m.commits.Add(commits - last.commits)
+	m.aborts.Add(aborts - last.aborts)
+	last.commits, last.aborts = commits, aborts
+	if ch, ok := sess.(db.ClockHealth); ok {
+		cmps, unc := ch.ClockStats()
+		m.clockCmps.Add(cmps - last.cmps)
+		m.clockUncertain.Add(unc - last.uncertain)
+		last.cmps, last.uncertain = cmps, unc
+	}
 }
 
 // Snapshot is a point-in-time JSON-marshalable view of the server,
@@ -248,11 +269,11 @@ type Snapshot struct {
 	CrossRetries uint64 `json:"cross_shard_retries"`
 	CrossNotYet  uint64 `json:"cross_shard_not_yet"`
 
-	Busy       uint64  `json:"busy_shed"`
-	Degraded   uint64  `json:"degraded"`
-	ProtoErrs  uint64  `json:"protocol_errors"`
-	Evictions  uint64  `json:"evictions"`
-	Panics     uint64  `json:"panics"`
+	Busy      uint64 `json:"busy_shed"`
+	Degraded  uint64 `json:"degraded"`
+	ProtoErrs uint64 `json:"protocol_errors"`
+	Evictions uint64 `json:"evictions"`
+	Panics    uint64 `json:"panics"`
 
 	Commits        uint64  `json:"commits"`
 	Aborts         uint64  `json:"aborts"`
@@ -328,11 +349,7 @@ func New(cfg Config) (*Server, error) {
 	// drain a batch immediately.
 	s.runners = make([]*laneRunner, s.cfg.Shards)
 	for i := range s.runners {
-		r := &laneRunner{srv: s, id: i, sess: cfg.DB.NewSession()}
-		if s.gc != nil {
-			r.wh = s.gc.log.NewHandle()
-		}
-		s.runners[i] = r
+		s.runners[i] = &laneRunner{srv: s, id: i, sess: cfg.DB.NewSession(), log: s.newWALStream(int32(i))}
 	}
 	s.lanes = shard.NewSet(s.cfg.Shards, func(lane int, b *shard.Batch) uint64 {
 		return s.runners[lane].exec(b)
@@ -526,8 +543,8 @@ func (s *Server) closeLanes() {
 	s.lanesOnce.Do(func() {
 		s.lanes.Close()
 		for _, r := range s.runners {
-			if r.wh != nil {
-				r.wh.Close()
+			if r.log.wh != nil {
+				r.log.wh.Close()
 			}
 			r.flushSessionStats()
 		}

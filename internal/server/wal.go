@@ -37,12 +37,12 @@ const replAckPoll = 25 * time.Millisecond
 // (DESIGN.md §10).
 //
 // A committed batch's write-set is encoded as one redo record, appended to
-// the connection's WAL handle at the engine's own commit timestamp (so
-// replay order matches commit order machine-wide), and the responses are
-// withheld until a flush covers that append. Many connections' commits
-// ride one flush: while a flush's fsync is in flight, appends accumulate
-// and the next flush covers them all — group commit emerges from the
-// device latency itself, with no batching timer.
+// a lane's (or a cross-lane coordinator's) WAL handle at the engine's own
+// commit timestamp (so replay order matches commit order machine-wide),
+// and the responses are withheld until a flush covers that append. Many
+// connections' commits ride one flush: while a flush's fsync is in flight,
+// appends accumulate and the next flush covers them all — group commit
+// emerges from the device latency itself, with no batching timer.
 //
 // Durability is tracked per append, not by timestamp. append assigns each
 // record a dense sequence number under gc.mu strictly after the record
@@ -119,42 +119,19 @@ func (gc *groupCommitter) failed() error {
 	return gc.err
 }
 
-// commit appends one redo record at the engine commit timestamp and blocks
-// until a flush has covered it. It returns the timestamp the record was
-// actually logged at (AppendAt may clamp cts up to the handle watermark) —
-// the durability token a write ack carries so a client can later demand
-// read-your-writes from a replica. Any error means the write must not be
-// acknowledged.
-func (gc *groupCommitter) commit(h *wal.Handle, cts uint64, redo []byte) (uint64, error) {
-	return gc.commitTrace(h, cts, redo, 0)
-}
-
-// commitTrace is commit with a sampled trace ID stamped on the record.
-func (gc *groupCommitter) commitTrace(h *wal.Handle, cts uint64, redo []byte, trace uint64) (uint64, error) {
-	seq, ts, err := gc.appendTrace(h, cts, redo, trace)
-	if err != nil {
-		return 0, err
-	}
-	return ts, gc.wait(seq)
-}
+// tracedAppend pairs a durability sequence with the trace ID riding it.
+type tracedAppend struct{ seq, trace uint64 }
 
 // append buffers one redo record at the engine commit timestamp (the
 // handle may clamp cts up to its watermark; the recorded timestamp is the
 // replay order) and wakes the flusher. It returns the record's durability
 // sequence, which is what wait must cover — assigned only after the record
 // is in its handle buffer, so a flush draining after the assignment is
-// guaranteed to carry it — and the recorded timestamp.
-func (gc *groupCommitter) append(h *wal.Handle, cts uint64, redo []byte) (uint64, uint64, error) {
-	return gc.appendTrace(h, cts, redo, 0)
-}
-
-// tracedAppend pairs a durability sequence with the trace ID riding it.
-type tracedAppend struct{ seq, trace uint64 }
-
-// appendTrace is append with a sampled trace ID: the record carries it to
-// the replication source, and the covering flush emits this trace's fsync
-// span.
-func (gc *groupCommitter) appendTrace(h *wal.Handle, cts uint64, redo []byte, trace uint64) (uint64, uint64, error) {
+// guaranteed to carry it — and the recorded timestamp, the durability
+// token a write ack carries so a client can later demand read-your-writes
+// from a replica. A nonzero trace rides the record to the replication
+// source, and the covering flush emits this trace's fsync span.
+func (gc *groupCommitter) append(h *wal.Handle, cts uint64, redo []byte, trace uint64) (uint64, uint64, error) {
 	gc.mu.Lock()
 	if gc.err != nil {
 		err := gc.err
@@ -365,6 +342,93 @@ func (gc *groupCommitter) closeAndWait() {
 		gc.cond.Broadcast()
 		<-gc.done
 	})
+}
+
+// runOps executes reqs as one engine transaction on sess, retrying
+// conflicts, and writes each op's result through resps — the execute step
+// of every lane batch and coordinated TXN. Row-level outcomes are per-op
+// statuses (execOp); any other error aborts the attempt and, once retries
+// are spent, is returned with nothing committed.
+func (s *Server) runOps(sess db.Session, reqs []*wire.Request, resps []*wire.Response) error {
+	return db.RunWithRetry(sess, s.cfg.MaxRetries, func(tx db.Tx) error {
+		for i, req := range reqs {
+			resp, err := s.execOp(tx, req)
+			if err != nil {
+				return err
+			}
+			*resps[i] = resp
+		}
+		return nil
+	})
+}
+
+// walStream is one WAL append stream and its encode scratch: each lane
+// owns one, and each connection owns one for the cross-lane TXNs it
+// coordinates. Only its owner goroutine touches it.
+type walStream struct {
+	srv *Server
+	// wh is the append handle; nil when serving without durability.
+	wh     *wal.Handle
+	lane   int32 // span attribution; -1 for a coordinator
+	redo   []byte
+	writes []*wire.Request
+}
+
+// newWALStream opens an append stream attributed to lane (-1 for a
+// coordinator); without a WAL it only collects write-sets.
+func (s *Server) newWALStream(lane int32) walStream {
+	w := walStream{srv: s, lane: lane}
+	if s.gc != nil {
+		w.wh = s.gc.log.NewHandle()
+	}
+	return w
+}
+
+// logAcked is the log step of the commit pipeline, run right after a
+// transaction on sess committed reqs. It collects the writes the engine
+// acked OK and, in durable mode, appends them as ONE redo record at the
+// commit timestamp without waiting for the flush, stamping the recorded
+// timestamp on their responses as provisional ack tokens (the worker's
+// awaitAck confirms or erases them). It returns the commit timestamp to
+// publish on the lane boards (0 when no write was acked or the engine has
+// no commit timestamps), the durability sequence to wait on (0 when
+// nothing was logged), and an append failure — the writes committed but
+// must not be acked. The encode buffer is reused: wal.Handle copies the
+// record.
+func (w *walStream) logAcked(sess db.Session, reqs []*wire.Request, resps []*wire.Response, trace uint64) (cts, seq uint64, err error) {
+	writes := w.writes[:0]
+	for i, req := range reqs {
+		if isWrite(req.Op) && resps[i].Status == wire.StatusOK {
+			writes = append(writes, req)
+		}
+	}
+	w.writes = writes
+	cs, ok := sess.(db.CommitTS)
+	if len(writes) == 0 || !ok {
+		return 0, 0, nil
+	}
+	cts = cs.LastCommitTS()
+	if w.wh == nil {
+		return cts, 0, nil
+	}
+	if w.redo, err = AppendRedo(w.redo[:0], writes); err != nil {
+		return cts, 0, err
+	}
+	seq, ts, err := w.srv.gc.append(w.wh, cts, w.redo, trace)
+	if err != nil {
+		return cts, 0, err
+	}
+	for i, req := range reqs {
+		if isWrite(req.Op) && resps[i].Status == wire.StatusOK {
+			resps[i].TS = ts
+		}
+	}
+	if ring := w.srv.spanRing(); ring != nil && trace != 0 {
+		now, unc := ring.Now()
+		ring.Record(span.Span{Trace: span.TraceID(trace), Stage: span.StageWALAppend,
+			TS: now, Unc: unc, Lane: w.lane})
+	}
+	return cts, seq, nil
 }
 
 // maxRedoOps bounds a decoded redo record's op count; a committed run is at

@@ -187,65 +187,179 @@ func TestDurableServeRecoverReplay(t *testing.T) {
 	}
 }
 
-// TestDurableDeviceFailureDegrades kills the device mid-serving and checks
-// the contract: the in-flight write is ERRed (never acked), later writes
-// are refused without touching the engine, reads keep serving, and the
-// failure is counted exactly once.
-func TestDurableDeviceFailureDegrades(t *testing.T) {
-	engine, err := db.New(db.OCC, ycsb.Schema(), nil)
+// writeShape is one way a client issues writes: a pipelined run, a TXN
+// confined to one lane, or a TXN spanning lanes. Every durable write takes
+// the same commit/ack pipeline, so each shape must honor the same failure
+// contract.
+type writeShape struct {
+	name string
+	// issue sends inserts of keys (routed by the caller) and returns one
+	// response per key — a TXN's single response is repeated per key.
+	issue func(t *testing.T, c *wire.Conn, keys []uint64) []wire.Response
+}
+
+var writeShapes = []writeShape{
+	{"pipelined-run", func(t *testing.T, c *wire.Conn, keys []uint64) []wire.Response {
+		for _, k := range keys {
+			if err := c.WriteRequest(&wire.Request{Op: wire.OpInsert, Key: k, Vals: row(int(k))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		out := make([]wire.Response, len(keys))
+		for i := range out {
+			r, err := c.ReadResponse()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = r
+		}
+		return out
+	}},
+	{"single-lane-txn", issueTxn},
+	{"cross-lane-txn", issueTxn},
+}
+
+// issueTxn inserts keys in one TXN frame.
+func issueTxn(t *testing.T, c *wire.Conn, keys []uint64) []wire.Response {
+	txn := &wire.Request{Op: wire.OpTxn}
+	for _, k := range keys {
+		txn.Ops = append(txn.Ops, wire.Request{Op: wire.OpInsert, Key: k, Vals: row(int(k))})
+	}
+	r, err := c.Do(txn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd := &wal.FailingDevice{Inner: &wal.MemDevice{}, OK: 1}
-	cfg := Config{DB: engine, Schema: ycsb.Schema(), WAL: wal.New(fd, nil)}
-	ts, cleanup := startServer(t, cfg)
-	defer cleanup()
-	c := ts.c
+	out := make([]wire.Response, len(keys))
+	for i := range out {
+		out[i] = r
+	}
+	return out
+}
 
-	// First write rides the device's one good flush.
-	if r, err := c.Do(&wire.Request{Op: wire.OpInsert, Key: 1, Vals: row(1)}); err != nil || r.Status != wire.StatusOK {
-		t.Fatalf("first insert: %v %v", r.Status, err)
+// shapeKeys picks n keys from `from` upward on a two-lane server: all
+// routed to one lane for the single-lane TXN, alternating lanes otherwise.
+func shapeKeys(srv *Server, shape string, from uint64, n int) []uint64 {
+	want := srv.lanes.Route(from)
+	var keys []uint64
+	for k := from; len(keys) < n; k++ {
+		if srv.lanes.Route(k) == want {
+			keys = append(keys, k)
+			if shape != "single-lane-txn" {
+				want = 1 - want
+			}
+		}
 	}
-	// Second write hits the dead device: committed in memory but never
-	// durable, so the server must answer ERR, not OK.
-	if r, err := c.Do(&wire.Request{Op: wire.OpInsert, Key: 2, Vals: row(2)}); err != nil || r.Status != wire.StatusErr {
-		t.Fatalf("insert on failed device: %v %v, want ERR", r.Status, err)
-	}
-	// Subsequent writes are refused up front; reads still serve.
-	if r, err := c.Do(&wire.Request{Op: wire.OpPut, Key: 1, Vals: row(9)}); err != nil || r.Status != wire.StatusErr {
-		t.Fatalf("degraded put: %v %v, want ERR", r.Status, err)
-	}
-	if r, err := c.Do(&wire.Request{Op: wire.OpTxn, Ops: []wire.Request{
-		{Op: wire.OpPut, Key: 1, Vals: row(9)},
-	}}); err != nil || r.Status != wire.StatusErr {
-		t.Fatalf("degraded txn: %v %v, want ERR", r.Status, err)
-	}
-	if r, err := c.Do(&wire.Request{Op: wire.OpGet, Key: 1}); err != nil || r.Status != wire.StatusOK || r.Row[0] != 1 {
-		t.Fatalf("degraded read: %+v %v, want key 1 served", r, err)
-	}
-	// Read-only TXNs still serve too.
-	if r, err := c.Do(&wire.Request{Op: wire.OpTxn, Ops: []wire.Request{
-		{Op: wire.OpGet, Key: 1},
-	}}); err != nil || r.Status != wire.StatusOK {
-		t.Fatalf("degraded read-only txn: %v %v, want OK", r.Status, err)
-	}
+	return keys
+}
 
-	snap := ts.srv.Snapshot()
-	if snap.WALDeviceErrors != 1 {
-		t.Fatalf("wal_device_errors=%d, want exactly 1 (sticky failure counts once)", snap.WALDeviceErrors)
+// TestDurableDeviceFailureDegrades kills the device mid-serving and checks
+// the contract for every write shape: the in-flight writes are ERRed
+// (never acked), wal_unacked_writes counts exactly the writes that
+// committed in memory but were never logged, later writes are refused
+// without touching the engine, reads keep serving, and the failure is
+// counted exactly once.
+func TestDurableDeviceFailureDegrades(t *testing.T) {
+	for _, shape := range writeShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			engine, err := db.New(db.OCC, ycsb.Schema(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fd := &wal.FailingDevice{Inner: &wal.MemDevice{}, OK: 1}
+			cfg := Config{DB: engine, Schema: ycsb.Schema(), WAL: wal.New(fd, nil), Shards: 2}
+			ts, cleanup := startServer(t, cfg)
+			defer cleanup()
+			c := ts.c
+
+			// First write rides the device's one good flush.
+			if r, err := c.Do(&wire.Request{Op: wire.OpInsert, Key: 1, Vals: row(1)}); err != nil || r.Status != wire.StatusOK {
+				t.Fatalf("first insert: %v %v", r.Status, err)
+			}
+			// The shape's writes hit the dead device: whatever committed in
+			// memory is never durable, so the server must answer ERR, not OK.
+			keys := shapeKeys(ts.srv, shape.name, 100, 4)
+			for i, r := range shape.issue(t, c, keys) {
+				if r.Status != wire.StatusErr || r.TS != 0 {
+					t.Fatalf("key %d on failed device: %v ts=%d, want ERR without a token", keys[i], r.Status, r.TS)
+				}
+			}
+			// A committed-but-unlogged write stays visible until restart
+			// (DESIGN.md §10); a refused one never reached the engine.
+			var committed uint64
+			for _, k := range keys {
+				r, err := c.Do(&wire.Request{Op: wire.OpGet, Key: k})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Status == wire.StatusOK {
+					committed++
+				}
+			}
+			if committed == 0 {
+				t.Fatal("no write reached the engine; the failure path was not exercised")
+			}
+			// Subsequent writes are refused up front; reads still serve.
+			if r, err := c.Do(&wire.Request{Op: wire.OpPut, Key: 1, Vals: row(9)}); err != nil || r.Status != wire.StatusErr {
+				t.Fatalf("degraded put: %v %v, want ERR", r.Status, err)
+			}
+			if r, err := c.Do(&wire.Request{Op: wire.OpTxn, Ops: []wire.Request{
+				{Op: wire.OpPut, Key: 1, Vals: row(9)},
+			}}); err != nil || r.Status != wire.StatusErr {
+				t.Fatalf("degraded txn: %v %v, want ERR", r.Status, err)
+			}
+			if r, err := c.Do(&wire.Request{Op: wire.OpGet, Key: 1}); err != nil || r.Status != wire.StatusOK || r.Row[0] != 1 {
+				t.Fatalf("degraded read: %+v %v, want key 1 served", r, err)
+			}
+			// Read-only TXNs still serve too, on one lane and across lanes.
+			if r, err := c.Do(&wire.Request{Op: wire.OpTxn, Ops: []wire.Request{
+				{Op: wire.OpGet, Key: 1}, {Op: wire.OpGet, Key: shapeKeys(ts.srv, "cross-lane-txn", 1, 2)[1]},
+			}}); err != nil || r.Status != wire.StatusOK {
+				t.Fatalf("degraded read-only txn: %v %v, want OK", r.Status, err)
+			}
+
+			snap := ts.srv.Snapshot()
+			if snap.WALDeviceErrors != 1 {
+				t.Fatalf("wal_device_errors=%d, want exactly 1 (sticky failure counts once)", snap.WALDeviceErrors)
+			}
+			// The refused-up-front writes never committed, so they don't count.
+			if snap.WALUnackedWrites != committed {
+				t.Fatalf("wal_unacked_writes=%d, want %d (the ERRed writes that committed but were never logged)",
+					snap.WALUnackedWrites, committed)
+			}
+			// STATS over the wire reports the same degradation.
+			r, err := c.Do(&wire.Request{Op: wire.OpStats})
+			if err != nil || r.Stats == nil {
+				t.Fatalf("stats: %+v %v", r, err)
+			}
+			if r.Stats.WALDeviceErrors != 1 {
+				t.Fatalf("wire wal_device_errors=%d, want 1", r.Stats.WALDeviceErrors)
+			}
+		})
 	}
-	// Exactly one write committed in memory and was then ERRed (key 2);
-	// the refused-up-front writes never committed, so they don't count.
-	if snap.WALUnackedWrites != 1 {
-		t.Fatalf("wal_unacked_writes=%d, want 1 (the ERRed insert is committed but unlogged)", snap.WALUnackedWrites)
-	}
-	// STATS over the wire reports the same degradation.
-	r, err := c.Do(&wire.Request{Op: wire.OpStats})
-	if err != nil || r.Stats == nil {
-		t.Fatalf("stats: %+v %v", r, err)
-	}
-	if r.Stats.WALDeviceErrors != 1 {
-		t.Fatalf("wire wal_device_errors=%d, want 1", r.Stats.WALDeviceErrors)
+	// A replication-gated leader whose followers never acknowledge: every
+	// shape's writes are durable locally but must answer UNCERTAIN — never
+	// OK, never ERR — and carry no ack token a client could wait on.
+	for _, shape := range writeShapes {
+		t.Run("repl-ack-timeout/"+shape.name, func(t *testing.T) {
+			cfg, dev := durableConfig(t, t.TempDir())
+			defer dev.Close()
+			cfg.Shards, cfg.ReplAckBound = 2, 50*time.Millisecond
+			ts, cleanup := startServer(t, cfg)
+			defer cleanup()
+			for i, r := range shape.issue(t, ts.c, shapeKeys(ts.srv, shape.name, 100, 4)) {
+				if r.Status != wire.StatusUncertain || r.TS != 0 {
+					t.Fatalf("write %d: %v ts=%d, want UNCERTAIN without a token", i, r.Status, r.TS)
+				}
+				for _, sub := range r.Batch {
+					if sub.TS != 0 {
+						t.Fatalf("write %d: TXN sub-response carries token %d", i, sub.TS)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -338,7 +452,7 @@ func TestGroupCommitAckRequiresOwnFlush(t *testing.T) {
 	hA, hB := log.NewHandle(), log.NewHandle()
 
 	// Connection B commits at cts=200, appends, and its flush completes.
-	seqB, _, err := gc.append(hB, 200, []byte("b"))
+	seqB, _, err := gc.append(hB, 200, []byte("b"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +463,7 @@ func TestGroupCommitAckRequiresOwnFlush(t *testing.T) {
 
 	// Connection A committed earlier (cts=100) but its worker only now runs
 	// the append: the record is buffered, nothing covering it has flushed.
-	seqA, _, err := gc.append(hA, 100, []byte("a"))
+	seqA, _, err := gc.append(hA, 100, []byte("a"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

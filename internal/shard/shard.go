@@ -38,14 +38,13 @@ type Kind uint8
 
 const (
 	// Ops is a run of simple ops: Reqs[i]'s result lands in *Resps[i].
+	// Each op answers for itself; a run that cannot commit as one engine
+	// transaction degrades to per-op transactions.
 	Ops Kind = iota
-	// Txn is an atomic transaction whose keys all route to this lane:
-	// Reqs[0] is the TXN frame, *Resps[0] receives the batch response.
-	Txn
-	// TxnRead is one lane's slice of a cross-shard read-only transaction:
-	// executed as a single read-only engine transaction, no WAL, and not
-	// counted as a batch (the coordinator owns the transaction accounting).
-	TxnRead
+	// Atomic is one lane's slice of a TXN frame — the whole TXN when its
+	// keys all route here, or one part of a cross-lane read. It executes as
+	// a single engine transaction and fails as a unit through Err.
+	Atomic
 	// Hold parks the lane: it closes Parked, waits for Release, and only
 	// then continues. The cross-shard write path uses it as a barrier —
 	// while every involved lane is parked, nothing can commit into the
@@ -67,15 +66,18 @@ type Batch struct {
 	// appended for this batch (0 when nothing was logged). The worker —
 	// not the lane — waits on it, so a lane never blocks on fsync.
 	Seq uint64
-	// WalWrites is how many acked writes ride the appended redo record;
-	// the worker flips exactly these to ERR if the durability wait fails.
-	WalWrites int
+	// LogErr is an append failure: the batch's acked writes committed in
+	// the engine but could not be logged, so the worker must not ack them.
+	LogErr error
+	// Abandoned, when non-nil, is the submitting connection's broken flag:
+	// the Exec callback must not execute a batch whose flag is set.
+	Abandoned *atomic.Bool
 	// Trace is the sampled trace ID for the request this batch serves
 	// (0 when unsampled). The lane stamps it on redo records and on the
 	// lane/commit/wal_append spans it emits.
 	Trace uint64
-	// Err is the batch-level failure for kinds that fail atomically
-	// (TxnRead); Ops batches always answer per-op through Resps.
+	// Err is the batch-level failure of an Atomic batch: the engine
+	// transaction did not commit. Ops batches answer per-op through Resps.
 	Err error
 	// Panicked reports that executing this batch panicked the engine. The
 	// lane recovered (it must keep serving other connections' partitions),
@@ -110,13 +112,14 @@ func NewHold() *Batch {
 func (b *Batch) complete() { b.done <- struct{}{} }
 
 // Wait blocks until the lane finishes the batch. Results are in the
-// response slots the worker provided; Seq/WalWrites/Err are valid after.
+// response slots the worker provided; Seq/LogErr/Err are valid after.
 func (b *Batch) Wait() { <-b.done }
 
 // Exec executes one non-Hold batch on lane `lane` and returns the engine
-// commit timestamp the lane should publish (0 when nothing committed or
-// the engine has no commit-timestamp notion). It runs on the lane
-// goroutine, which is the single writer for the lane's session.
+// commit timestamp the lane should publish: 0 when the batch committed no
+// write (reads need no publication) or the engine has no commit-timestamp
+// notion. It runs on the lane goroutine, which is the single writer for
+// the lane's session.
 type Exec func(lane int, b *Batch) (publishTS uint64)
 
 // ringSize bounds each connection→lane ring. A worker has at most one

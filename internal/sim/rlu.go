@@ -175,12 +175,15 @@ func RunRLUAt(cfg RLUConfig, threads int) machine.RunStats {
 			}
 			if commit {
 				if cfg.Ordo {
-					// new_time(localClock + boundary): the extra boundary
-					// guards the single-version snapshot (§4.1). The wait
-					// runs from the clock recorded at reader_lock, so the
-					// section's own work absorbs most of the window —
-					// new_time is not a backoff (§6.7).
-					c.WaitClockPast(sectionClock + uint64(2*boundary))
+					// new_time(max(localClock, get_time()) + boundary), as
+					// internal/rlu commits: the clock read at commit start
+					// orders the new snapshot after every reader that began
+					// before the commit, and the extra boundary guards the
+					// single-version snapshot (§4.1). The section's own work
+					// therefore no longer absorbs the window: the commit
+					// waits about two boundaries from its start.
+					now := c.ReadTSC()
+					c.WaitClockPast(max(sectionClock, now) + uint64(2*boundary))
 				} else {
 					c.FetchAdd(globalClock, 1)
 				}
