@@ -8,7 +8,6 @@ import (
 	"net"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -22,9 +21,6 @@ import (
 // errWorkerPanic is the internal sentinel a recovered worker panic turns
 // into so the normal connection-teardown path runs.
 var errWorkerPanic = errors.New("server: worker panicked")
-
-// errConnBroken fails work whose connection broke before it executed.
-var errConnBroken = errors.New("server: connection broken")
 
 // maxRecycledBuf bounds the frame buffers kept on the connection's free
 // list: a rare giant frame gets its slab dropped to the GC instead of
@@ -102,13 +98,6 @@ type serverConn struct {
 	// client, write stall): the deadline errors that follow are expected
 	// and must not count as protocol faults.
 	evicting bool
-	// broken is set once the reader sees the socket reset or closed under
-	// it. It fences the connection's unexecuted work — queued runs, lane
-	// batches still in a ring, a coordinator still parking its lanes: none
-	// of it can be answered, and running it late would let a write land
-	// after its client observed the break and moved on (say, re-read its
-	// state on a new connection). Work already executing finishes.
-	broken atomic.Bool
 
 	// Worker-owned scratch, reused across runs so the execBatch path is
 	// allocation-free in steady state. arena backs decoded rows and TXN
@@ -205,10 +194,9 @@ func (c *serverConn) laneBatch(lane int) *shard.Batch {
 	b := c.lbatch[lane]
 	if b == nil {
 		b = shard.NewBatch()
-		b.Abandoned = &c.broken
 		c.lbatch[lane] = b
 	}
-	b.Seq, b.LogErr, b.Err, b.Panicked = 0, nil, nil, false
+	b.Seq, b.Err, b.Panicked = 0, nil, false
 	b.Trace = uint64(c.spanTrace)
 	return b
 }
@@ -335,11 +323,8 @@ func (c *serverConn) finishRead() {
 // nobody armed) is an ordinary protocol fault: logged, counted, and
 // answered with ERR before the connection closes.
 func (c *serverConn) classifyReadError(err error) {
-	if errors.Is(err, io.EOF) {
-		return // possibly a half-close: the client may still read
-	}
-	if errors.Is(err, net.ErrClosed) || errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) {
-		c.broken.Store(true)
+	if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) ||
+		errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) {
 		return
 	}
 	var ne net.Error
@@ -648,9 +633,6 @@ func (c *serverConn) finishRunSpans(d time.Duration) {
 // queued past it are dropped, because a client that framed garbage cannot
 // be trusted to have meant them.
 func (c *serverConn) process(run []item) error {
-	if c.broken.Load() {
-		return nil
-	}
 	if len(run) == 1 {
 		it := &run[0]
 		switch {
@@ -775,8 +757,8 @@ func (c *serverConn) execBatch(reqs []wire.Request) []wire.Response {
 	resps := c.scratchResps(len(reqs))
 	c.scatter(reqs, resps)
 	c.submitGroups(shard.Ops)
-	seq, logErr, _ := c.gather()
-	c.awaitAck(seq, logErr, reqs, resps)
+	seq, _ := c.gather()
+	c.awaitAck(seq, reqs, resps)
 	c.countOps(reqs, resps)
 	return resps
 }
@@ -824,14 +806,11 @@ func (c *serverConn) submitGroups(kind shard.Kind) (err error) {
 
 // gather waits out every submitted batch and merges their outcomes: the
 // highest WAL durability sequence any lane appended (0 when nothing was
-// logged), any lane's append failure, and any Atomic batch's failure.
-func (c *serverConn) gather() (seq uint64, logErr, err error) {
+// logged) and any Atomic batch's failure.
+func (c *serverConn) gather() (seq uint64, err error) {
 	for _, b := range c.subm {
 		b.Wait()
 		seq = max(seq, b.Seq)
-		if b.LogErr != nil {
-			logErr = b.LogErr
-		}
 		if b.Err != nil {
 			err = b.Err
 		}
@@ -839,30 +818,31 @@ func (c *serverConn) gather() (seq uint64, logErr, err error) {
 			c.laneFatal = true
 		}
 	}
-	return seq, logErr, err
+	return seq, err
 }
 
 // awaitAck is the ack step of the commit pipeline, shared by every durable
 // write shape. It performs the execution unit's single durability wait on
-// seq (a zero seq logged nothing) — unless the log step already failed —
-// and on failure erases the provisional acks: each write in reqs answered
-// OK flips to the failure's status, ERR for a device failure (the log
-// could not honor it — DESIGN.md §10, wal_unacked_writes) or UNCERTAIN for
-// a replication-ack timeout (durable locally, replication pending). A TXN
-// caller then answers the returned error for the whole TXN.
-func (c *serverConn) awaitAck(seq uint64, logErr error, reqs []wire.Request, resps []wire.Response) error {
-	err := logErr
-	if err == nil && seq != 0 {
-		var ackStart time.Time
-		if c.tel != nil {
-			ackStart = time.Now()
-		}
-		err = c.srv.gc.wait(seq)
-		if c.tel != nil {
-			d := time.Since(ackStart)
-			c.tel.ack.ObserveDuration(d)
-			c.noteSpan(span.StageAck, d)
-		}
+// seq (a zero seq logged nothing) and on failure erases the provisional
+// acks: each write in reqs still answered OK flips to the failure's
+// status, ERR for a device failure (the log could not honor it — DESIGN.md
+// §10, wal_unacked_writes) or UNCERTAIN for a replication-ack timeout
+// (durable locally, replication pending). A TXN caller then answers the
+// returned error for the whole TXN. Writes whose own append failed were
+// already answered ERR by the log step.
+func (c *serverConn) awaitAck(seq uint64, reqs []wire.Request, resps []wire.Response) error {
+	if seq == 0 {
+		return nil
+	}
+	var ackStart time.Time
+	if c.tel != nil {
+		ackStart = time.Now()
+	}
+	err := c.srv.gc.wait(seq)
+	if c.tel != nil {
+		d := time.Since(ackStart)
+		c.tel.ack.ObserveDuration(d)
+		c.noteSpan(span.StageAck, d)
 	}
 	if err == nil {
 		return nil
@@ -958,18 +938,18 @@ func (c *serverConn) execTxn(req *wire.Request) wire.Response {
 	}
 	resps := make([]wire.Response, len(req.Ops))
 	var seq uint64
-	var logErr, err error
+	var err error
 	switch {
 	case c.txnLanes(req) <= 1:
-		seq, logErr, err = c.execAtomic(req, resps)
+		seq, err = c.execAtomic(req, resps)
 	case runHasWrites(req.Ops):
 		c.srv.m.crossTxns.Add(1)
-		seq, logErr, err = c.execParked(req, resps)
+		seq, err = c.execParked(req, resps)
 	default:
 		return c.execTxnCrossRead(req, resps)
 	}
 	if err == nil {
-		err = c.awaitAck(seq, logErr, req.Ops, resps)
+		err = c.awaitAck(seq, req.Ops, resps)
 	}
 	return txnResponse(resps, err)
 }
@@ -1002,14 +982,14 @@ func (c *serverConn) txnLanes(req *wire.Request) int {
 // execAtomic scatters a TXN's ops to their lanes as Atomic batches — each
 // lane runs its slice as one engine transaction and logs its acked writes
 // — and gathers the outcome. err is any lane's failure: a submit refused,
-// an engine abort, or a panic.
-func (c *serverConn) execAtomic(req *wire.Request, resps []wire.Response) (seq uint64, logErr, err error) {
+// an engine abort, an append failure, or a panic.
+func (c *serverConn) execAtomic(req *wire.Request, resps []wire.Response) (seq uint64, err error) {
 	c.scatter(req.Ops, resps)
 	serr := c.submitGroups(shard.Atomic)
-	if seq, logErr, err = c.gather(); err == nil {
+	if seq, err = c.gather(); err == nil {
 		err = serr
 	}
-	return seq, logErr, err
+	return seq, err
 }
 
 // parkInvolved submits a Hold barrier to every lane marked in c.laneMark
@@ -1057,35 +1037,29 @@ func (c *serverConn) parkInvolved() func() {
 // covers it covers this record too, so no later write can be acked before
 // this one is durable. Readers may see the committed TXN before it is
 // durable: the same window §10 gives every lane write.
-func (c *serverConn) execParked(req *wire.Request, resps []wire.Response) (seq uint64, logErr, err error) {
+func (c *serverConn) execParked(req *wire.Request, resps []wire.Response) (seq uint64, err error) {
 	srv := c.srv
 	// Cross-shard transactions are always traced: they are the requests
 	// whose ordering story spans the most machinery.
 	c.forceTrace()
-	c.txnReqs, c.txnResps = c.txnReqs[:0], c.txnResps[:0]
-	for i := range req.Ops {
-		c.txnReqs = append(c.txnReqs, &req.Ops[i])
-		c.txnResps = append(c.txnResps, &resps[i])
-	}
+	c.txnPtrs(req, resps)
 	var cts uint64
 	err = func() error {
 		srv.crossMu.Lock()
 		defer srv.crossMu.Unlock()
 		release := c.parkInvolved()
 		defer release()
-		if c.broken.Load() {
-			return errConnBroken
-		}
 		if err := srv.runOps(c.sess, c.txnReqs, c.txnResps); err != nil {
 			return err
 		}
-		cts, seq, logErr = c.log.logAcked(c.sess, c.txnReqs, c.txnResps, uint64(c.spanTrace))
+		var err error
+		cts, seq, err = c.log.logAcked(c.sess, c.txnReqs, c.txnResps, uint64(c.spanTrace))
 		for ln, in := range c.laneMark {
 			if in && cts != 0 {
 				srv.lanes.Lane(ln).Publish(cts)
 			}
 		}
-		return nil
+		return err
 	}()
 	// Commit span at the commit timestamp itself when the node can convert
 	// engine ticks to the span clock's scale; the coordinator path has no
@@ -1099,7 +1073,17 @@ func (c *serverConn) execParked(req *wire.Request, resps []wire.Response) (seq u
 		c.spanBuf[c.spanN] = span.Span{Stage: span.StageCommit, TS: ts, Unc: unc, Lane: -1}
 		c.spanN++
 	}
-	return seq, logErr, err
+	return seq, err
+}
+
+// txnPtrs fills c.txnReqs and c.txnResps with a pointer view of a TXN's
+// ops and response slots — the shape runOps and logAcked take.
+func (c *serverConn) txnPtrs(req *wire.Request, resps []wire.Response) {
+	c.txnReqs, c.txnResps = c.txnReqs[:0], c.txnResps[:0]
+	for i := range req.Ops {
+		c.txnReqs = append(c.txnReqs, &req.Ops[i])
+		c.txnResps = append(c.txnResps, &resps[i])
+	}
 }
 
 // crossReadAttempts bounds the optimistic passes of a cross-shard read
@@ -1114,7 +1098,13 @@ const crossReadAttempts = 3
 // publication boards (V1), scatters the reads, and snapshots again (V2).
 // Lanes publish every acked write before acking it, and reads publish
 // nothing, so if V1 == V2 no write that any client could have observed
-// landed between the reads — the merge is a consistent cut. If a board
+// landed between the reads — the merge is a consistent cut. That argument
+// needs every engine write to pass through a lane or a parked coordinator;
+// on a read-only server the engine's writer is the replication apply loop
+// (Replay), which commits straight into the engine and publishes nothing,
+// so there the read is one engine transaction on the worker's session,
+// which the engine's concurrency control keeps atomic against the apply
+// loop (a node replays only while read-only). If a board
 // moved, cmp_time against the read's start classifies the interfering
 // commit: inside the uncertainty window the server answers NOT_YET (the
 // paper's honest refusal — order is not yet decidable, the client retries
@@ -1124,6 +1114,10 @@ const crossReadAttempts = 3
 func (c *serverConn) execTxnCrossRead(req *wire.Request, resps []wire.Response) wire.Response {
 	srv := c.srv
 	srv.m.crossReads.Add(1)
+	if srv.ReadOnly() {
+		c.txnPtrs(req, resps)
+		return txnResponse(resps, srv.runOps(c.sess, c.txnReqs, c.txnResps))
+	}
 	// Forced before the first scatter so the lane batches carry the ID.
 	c.forceTrace()
 	var startTS uint64
@@ -1132,7 +1126,7 @@ func (c *serverConn) execTxnCrossRead(req *wire.Request, resps []wire.Response) 
 	}
 	for attempt := 0; attempt < crossReadAttempts; attempt++ {
 		c.tsV1 = srv.lanes.Published(c.tsV1)
-		if _, _, err := c.execAtomic(req, resps); err != nil {
+		if _, err := c.execAtomic(req, resps); err != nil {
 			return txnResponse(nil, err)
 		}
 		c.tsV2 = srv.lanes.Published(c.tsV2)
@@ -1162,7 +1156,7 @@ func (c *serverConn) execTxnCrossRead(req *wire.Request, resps []wire.Response) 
 	}
 	// Stable conflict pressure: take the pessimistic barrier. A read-only
 	// TXN logs nothing, so there is no durability to wait for.
-	_, _, err := c.execParked(req, resps)
+	_, err := c.execParked(req, resps)
 	return txnResponse(resps, err)
 }
 

@@ -118,7 +118,7 @@ func TestCrossShardTxnLinearizability(t *testing.T) {
 		writersWg.Add(1)
 		go func(w int) {
 			defer writersWg.Done()
-			bal, err := xsWriter(w, faultAddr, cleanAddr)
+			bal, err := xsWriter(w, srv, faultAddr, cleanAddr)
 			finals[w] = bal
 			if err != nil {
 				errs <- fmt.Errorf("writer %d: %w", w, err)
@@ -251,9 +251,10 @@ func TestCrossShardTxnLinearizability(t *testing.T) {
 // xsWriter moves money between its own disjoint account range with atomic
 // two-PUT TXNs. Being each account's only writer, its local balance cache is
 // authoritative whenever its last TXN's outcome is known; after a connection
-// death mid-TXN the outcome is unknown, so it resyncs the cache from the
-// server before continuing. Returns the final cache for the drained check.
-func xsWriter(w int, faultAddr, cleanAddr string) ([]uint64, error) {
+// death mid-TXN the outcome is unknown, so once the server has torn the
+// dead connection down (xsSettled) it resyncs the cache from the server
+// before continuing. Returns the final cache for the drained check.
+func xsWriter(w int, srv *Server, faultAddr, cleanAddr string) ([]uint64, error) {
 	base := uint64(w * xsAccounts)
 	bal := make([]uint64, xsAccounts)
 	for i := range bal {
@@ -309,6 +310,17 @@ func xsWriter(w int, faultAddr, cleanAddr string) ([]uint64, error) {
 			nc.Close()
 		}
 	}()
+	// reconnect drops a connection whose last TXN has an unknown outcome
+	// and resyncs the cache once that outcome is settled.
+	reconnect := func() error {
+		local := nc.LocalAddr().String()
+		nc.Close()
+		nc, c = nil, nil
+		if err := xsSettled(srv, local); err != nil {
+			return err
+		}
+		return resync()
+	}
 	for done < xsTransfers {
 		if c == nil {
 			var err error
@@ -333,9 +345,7 @@ func xsWriter(w int, faultAddr, cleanAddr string) ([]uint64, error) {
 		if err != nil {
 			// Connection died with a TXN possibly in flight: its atomicity
 			// is the server's problem, our cache coherence is ours.
-			nc.Close()
-			nc, c = nil, nil
-			if rerr := resync(); rerr != nil {
+			if rerr := reconnect(); rerr != nil {
 				return bal, rerr
 			}
 			continue
@@ -350,9 +360,7 @@ func xsWriter(w int, faultAddr, cleanAddr string) ([]uint64, error) {
 		case wire.StatusErr:
 			// Terminal stream (an injected reset chopped a frame mid-write):
 			// the TXN may or may not have applied — resync like a death.
-			nc.Close()
-			nc, c = nil, nil
-			if rerr := resync(); rerr != nil {
+			if rerr := reconnect(); rerr != nil {
 				return bal, rerr
 			}
 		default:
@@ -360,6 +368,32 @@ func xsWriter(w int, faultAddr, cleanAddr string) ([]uint64, error) {
 		}
 	}
 	return bal, nil
+}
+
+// xsSettled waits until srv has torn down the connection whose client end
+// is at local. Its worker has then finished every request it read, so a
+// TXN in flight when the connection died has either committed or never
+// will. Nothing sooner is promised: a request that was never answered may
+// take effect at any point until its connection is gone, even after the
+// client has reconnected and read.
+func xsSettled(srv *Server, local string) error {
+	for deadline := time.Now().Add(xsHang); ; time.Sleep(time.Millisecond) {
+		live := false
+		srv.mu.Lock()
+		for sc := range srv.conns {
+			if sc.nc.RemoteAddr().String() == local {
+				live = true
+				break
+			}
+		}
+		srv.mu.Unlock()
+		if !live {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("server still holds connection %s after %v", local, xsHang)
+		}
+	}
 }
 
 // xsReader sweeps one writer's whole account range per pass with a

@@ -59,10 +59,6 @@ func (r *laneRunner) exec(b *shard.Batch) (publish uint64) {
 			publish = 0
 		}
 	}()
-	if b.Abandoned != nil && b.Abandoned.Load() {
-		failBatch(b, errConnBroken)
-		return 0
-	}
 	// Traced batches time the lane's execution with the span clock; the
 	// decision was made by the submitting worker, so untraced batches pay
 	// only the nil/zero check.
@@ -75,7 +71,7 @@ func (r *laneRunner) exec(b *shard.Batch) (publish uint64) {
 	if b.Kind == shard.Ops {
 		publish = r.execOps(b)
 	} else if b.Err = r.srv.runOps(r.sess, b.Reqs, b.Resps); b.Err == nil {
-		publish = r.logAcked(b, b.Reqs, b.Resps)
+		publish, b.Seq, b.Err = r.log.logAcked(r.sess, b.Reqs, b.Resps, b.Trace)
 	}
 	r.flushSessionStats()
 	if traced {
@@ -106,7 +102,7 @@ func failBatch(b *shard.Batch, err error) {
 	for i := range b.Resps {
 		*b.Resps[i] = wire.Response{Kind: wire.RespEmpty, Status: wire.StatusErr}
 	}
-	b.Seq, b.LogErr, b.Err = 0, nil, err
+	b.Seq, b.Err = 0, err
 }
 
 // execOps runs one lane's slice of a pipelined simple-op run as a single
@@ -140,14 +136,13 @@ func (r *laneRunner) execOps(b *shard.Batch) (publish uint64) {
 	return publish
 }
 
-// logAcked logs one committed transaction's acked writes on the lane's
-// stream and folds the outcome into the batch for the worker's awaitAck.
+// logAcked logs one committed transaction of an Ops batch on the lane's
+// stream and folds its durability sequence into the batch for the worker's
+// awaitAck. An append failure needs no folding: it already answered the
+// transaction's writes ERR.
 func (r *laneRunner) logAcked(b *shard.Batch, reqs []*wire.Request, resps []*wire.Response) uint64 {
-	cts, seq, err := r.log.logAcked(r.sess, reqs, resps, b.Trace)
+	cts, seq, _ := r.log.logAcked(r.sess, reqs, resps, b.Trace)
 	b.Seq = max(b.Seq, seq)
-	if err != nil {
-		b.LogErr = err
-	}
 	return cts
 }
 

@@ -244,46 +244,3 @@ func TestDegradedBatchMetrics(t *testing.T) {
 		t.Fatalf("wire stats degraded=%d, want 1", resp.Stats.Degraded)
 	}
 }
-
-// TestBrokenConnFencesUnexecutedWork: once a connection is known broken,
-// nothing it submitted starts executing — a lane skips the connection's
-// batch and a cross-lane coordinator aborts after parking its lanes — so no
-// write of a client that has observed the break can land afterwards.
-func TestBrokenConnFencesUnexecutedWork(t *testing.T) {
-	f := &fakeDB{}
-	srv, err := New(Config{DB: f, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := net.Pipe()
-	defer b.Close()
-	c := newServerConn(srv, a)
-	defer func() {
-		a.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			t.Errorf("shutdown: %v", err)
-		}
-	}()
-	var keys [2]uint64
-	for k := uint64(1); keys[1] == 0; k++ {
-		if ln := srv.lanes.Route(k); keys[ln] == 0 {
-			keys[ln] = k
-		}
-	}
-	c.broken.Store(true)
-	for _, txn := range []wire.Request{
-		{Op: wire.OpTxn, Ops: []wire.Request{{Op: wire.OpPut, Key: keys[0]}}},
-		{Op: wire.OpTxn, Ops: []wire.Request{{Op: wire.OpPut, Key: keys[0]}, {Op: wire.OpPut, Key: keys[1]}}},
-	} {
-		if r := c.execTxn(&txn); r.Status != wire.StatusErr {
-			t.Fatalf("TXN over %d keys on a broken connection answered %v, want ERR", len(txn.Ops), r.Status)
-		}
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.runs != 0 {
-		t.Fatalf("engine ran %d transactions for a broken connection, want 0", f.runs)
-	}
-}

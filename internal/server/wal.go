@@ -389,12 +389,14 @@ func (s *Server) newWALStream(lane int32) walStream {
 // acked OK and, in durable mode, appends them as ONE redo record at the
 // commit timestamp without waiting for the flush, stamping the recorded
 // timestamp on their responses as provisional ack tokens (the worker's
-// awaitAck confirms or erases them). It returns the commit timestamp to
-// publish on the lane boards (0 when no write was acked or the engine has
-// no commit timestamps), the durability sequence to wait on (0 when
-// nothing was logged), and an append failure — the writes committed but
-// must not be acked. The encode buffer is reused: wal.Handle copies the
-// record.
+// awaitAck confirms or erases them). An append failure erases the acks
+// here: the writes committed but the log cannot honor them, so each
+// answers ERR and counts under wal_unacked_writes — only this record's
+// writes, so records other lanes appended still ack once durable. It
+// returns the commit timestamp to publish on the lane boards (0 when no
+// write was acked or the engine has no commit timestamps), the durability
+// sequence to wait on (0 when nothing was logged), and the append failure.
+// The encode buffer is reused: wal.Handle copies the record.
 func (w *walStream) logAcked(sess db.Session, reqs []*wire.Request, resps []*wire.Response, trace uint64) (cts, seq uint64, err error) {
 	writes := w.writes[:0]
 	for i, req := range reqs {
@@ -411,11 +413,17 @@ func (w *walStream) logAcked(sess db.Session, reqs []*wire.Request, resps []*wir
 	if w.wh == nil {
 		return cts, 0, nil
 	}
-	if w.redo, err = AppendRedo(w.redo[:0], writes); err != nil {
-		return cts, 0, err
+	var ts uint64
+	if w.redo, err = AppendRedo(w.redo[:0], writes); err == nil {
+		seq, ts, err = w.srv.gc.append(w.wh, cts, w.redo, trace)
 	}
-	seq, ts, err := w.srv.gc.append(w.wh, cts, w.redo, trace)
 	if err != nil {
+		for i, req := range reqs {
+			if isWrite(req.Op) && resps[i].Status == wire.StatusOK {
+				*resps[i] = wire.Response{Kind: wire.RespEmpty, Status: wire.StatusErr}
+			}
+		}
+		w.srv.m.walUnackedWrites.Add(uint64(len(writes)))
 		return cts, 0, err
 	}
 	for i, req := range reqs {

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"context"
+	"net"
 	"reflect"
 	"sync"
 	"testing"
@@ -486,4 +488,77 @@ func TestGroupCommitAckRequiresOwnFlush(t *testing.T) {
 		}
 	}
 	t.Fatal("acknowledged record missing from the device")
+}
+
+// TestAppendFailureErasesOnlyItsRecord drives one pipelined run whose two
+// lane slices straddle a device failure: lane 0's record is durable before
+// the device dies, lane 1's append comes after it. Only lane 1's write may
+// answer ERR and count as unacked; lane 0's write is on the device and its
+// ack must stand, with its token.
+func TestAppendFailureErasesOnlyItsRecord(t *testing.T) {
+	engine, err := db.New(db.OCC, ycsb.Schema(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd := &wal.FailingDevice{Inner: &wal.MemDevice{}, OK: 1}
+	srv, err := New(Config{DB: engine, Schema: ycsb.Schema(), WAL: wal.New(fd, nil), Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := net.Pipe()
+	defer b.Close()
+	c := newServerConn(srv, a)
+	defer func() {
+		a.Close()
+		c.log.wh.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	sess := engine.NewSession()
+	lane0, lane1 := srv.newWALStream(0), srv.newWALStream(1)
+	slice := func(run []wire.Request, resps []wire.Response, i int) ([]*wire.Request, []*wire.Response) {
+		reqs, out := []*wire.Request{&run[i]}, []*wire.Response{&resps[i]}
+		if err := srv.runOps(sess, reqs, out); err != nil {
+			t.Fatal(err)
+		}
+		return reqs, out
+	}
+
+	run := []wire.Request{
+		{Op: wire.OpInsert, Key: 1, Vals: row(1)},
+		{Op: wire.OpInsert, Key: 2, Vals: row(2)},
+	}
+	resps := make([]wire.Response, len(run))
+	reqs, out := slice(run, resps, 0)
+	_, seq0, err := lane0.logAcked(sess, reqs, out, 0)
+	if err != nil || srv.gc.wait(seq0) != nil {
+		t.Fatalf("lane 0 record not durable on the good flush: %v", err)
+	}
+	// The device dies on the next flush, before lane 1 appends.
+	dead := []wire.Request{{Op: wire.OpInsert, Key: 3, Vals: row(3)}}
+	reqs, out = slice(dead, make([]wire.Response, 1), 0)
+	if _, seq, err := lane0.logAcked(sess, reqs, out, 0); err != nil || srv.gc.wait(seq) == nil {
+		t.Fatal("device did not fail on its second flush")
+	}
+	reqs, out = slice(run, resps, 1)
+	if _, seq1, err := lane1.logAcked(sess, reqs, out, 0); err == nil || seq1 != 0 {
+		t.Fatalf("lane 1 appended to a failed log: seq=%d err=%v", seq1, err)
+	}
+	if err := c.awaitAck(seq0, run, resps); err != nil {
+		t.Fatalf("run's wait on lane 0's durable record failed: %v", err)
+	}
+	if resps[0].Status != wire.StatusOK || resps[0].TS == 0 {
+		t.Fatalf("durable write answered %v ts=%d, want OK with a token", resps[0].Status, resps[0].TS)
+	}
+	if resps[1].Status != wire.StatusErr || resps[1].TS != 0 {
+		t.Fatalf("unlogged write answered %v ts=%d, want ERR without a token", resps[1].Status, resps[1].TS)
+	}
+	if n := srv.Snapshot().WALUnackedWrites; n != 1 {
+		t.Fatalf("wal_unacked_writes=%d, want 1 (lane 1's write only)", n)
+	}
+	lane0.wh.Close()
+	lane1.wh.Close()
 }

@@ -66,18 +66,13 @@ type Batch struct {
 	// appended for this batch (0 when nothing was logged). The worker —
 	// not the lane — waits on it, so a lane never blocks on fsync.
 	Seq uint64
-	// LogErr is an append failure: the batch's acked writes committed in
-	// the engine but could not be logged, so the worker must not ack them.
-	LogErr error
-	// Abandoned, when non-nil, is the submitting connection's broken flag:
-	// the Exec callback must not execute a batch whose flag is set.
-	Abandoned *atomic.Bool
 	// Trace is the sampled trace ID for the request this batch serves
 	// (0 when unsampled). The lane stamps it on redo records and on the
 	// lane/commit/wal_append spans it emits.
 	Trace uint64
 	// Err is the batch-level failure of an Atomic batch: the engine
-	// transaction did not commit. Ops batches answer per-op through Resps.
+	// transaction did not commit, or its acked writes committed but could
+	// not be logged. Ops batches answer per-op through Resps.
 	Err error
 	// Panicked reports that executing this batch panicked the engine. The
 	// lane recovered (it must keep serving other connections' partitions),
@@ -112,7 +107,7 @@ func NewHold() *Batch {
 func (b *Batch) complete() { b.done <- struct{}{} }
 
 // Wait blocks until the lane finishes the batch. Results are in the
-// response slots the worker provided; Seq/LogErr/Err are valid after.
+// response slots the worker provided; Seq/Err are valid after.
 func (b *Batch) Wait() { <-b.done }
 
 // Exec executes one non-Hold batch on lane `lane` and returns the engine
