@@ -281,11 +281,11 @@ func killCrashRun(t *testing.T, seed int) {
 	if err != nil || r.Stats == nil {
 		t.Fatalf("seed %d: stats after restart: %v", seed, err)
 	}
-	if r.Stats.RecoveredRecords == 0 {
+	if r.Stats.Value("ordod_recovered_records") == 0 {
 		t.Fatalf("seed %d: restart recovered zero records with %d keys live", seed, crashKeys)
 	}
-	if r.Stats.WALDeviceErrors != 0 {
-		t.Fatalf("seed %d: device errors after restart: %d", seed, r.Stats.WALDeviceErrors)
+	if r.Stats.Value("ordod_wal_device_errors_total") != 0 {
+		t.Fatalf("seed %d: device errors after restart: %d", seed, r.Stats.Value("ordod_wal_device_errors_total"))
 	}
 	nc2.Close()
 
@@ -561,7 +561,7 @@ func TestFailoverLeaderKill(t *testing.T) {
 
 	// Cold cluster: priority index 0 must lead, at a fenced (nonzero) epoch.
 	failoverStats(t, clientAddrs[0], "cold leader", bootTimeout, func(s *wire.Stats) bool {
-		return s.ReplRoleCode == 1 && s.ReplEpoch >= 1
+		return s.ReplRoleCode == 1 && s.Value("ordod_epoch") >= 1
 	})
 
 	// Drive per-key monotone writes through the resilient client while the
@@ -608,10 +608,10 @@ func TestFailoverLeaderKill(t *testing.T) {
 	newLeader := -1
 	for i := 1; i < n; i++ {
 		s := failoverStats(t, clientAddrs[i], fmt.Sprintf("node%d post-kill", i), bootTimeout,
-			func(s *wire.Stats) bool { return s.ReplEpoch >= 2 })
+			func(s *wire.Stats) bool { return s.Value("ordod_epoch") >= 2 })
 		if s.ReplRoleCode == 1 {
 			if s.Promotions == 0 {
-				t.Fatalf("node%d leads epoch %d without counting a promotion", i, s.ReplEpoch)
+				t.Fatalf("node%d leads epoch %d without counting a promotion", i, s.Value("ordod_epoch"))
 			}
 			newLeader = i
 		}
@@ -630,7 +630,7 @@ func TestFailoverLeaderKill(t *testing.T) {
 		"-heartbeat-timeout", "500ms",
 	)
 	failoverStats(t, clientAddrs[0], "rejoined ex-leader", bootTimeout, func(s *wire.Stats) bool {
-		return s.ReplRoleCode == 2 && s.ReplEpoch >= 2
+		return s.ReplRoleCode == 2 && s.Value("ordod_epoch") >= 2
 	})
 	lead, err := loadgen.Sweep(clientAddrs[newLeader], crashKeys, crashWindow, 10*time.Second, 10*time.Second)
 	if err != nil {
@@ -743,7 +743,7 @@ func TestReplCrashFollowerKill(t *testing.T) {
 	if err != nil || r.Stats == nil {
 		t.Fatalf("follower stats after restart: %v", err)
 	}
-	if r.Stats.RecoveredRecords == 0 {
+	if r.Stats.Value("ordod_recovered_records") == 0 {
 		t.Fatal("restarted follower recovered zero records from its local WAL")
 	}
 	b, err := os.ReadFile(f2.log)

@@ -17,8 +17,8 @@
 // timestamp order before the listener opens.
 //
 // SIGINT/SIGTERM drain gracefully: accepted requests finish, responses
-// flush, then the process exits 0 and (with -health-json) writes a combined
-// server + clock-health snapshot.
+// flush, then the process exits 0 and (with -health-json) writes the drain
+// document: the server's counter catalogue plus the clock-health snapshot.
 package main
 
 import (
@@ -68,7 +68,6 @@ type options struct {
 	adminAddr     string
 	adminAddrFile string
 	slowOp        time.Duration
-	traceEvents   int
 	traceSample   float64
 	traceSpans    int
 
@@ -122,8 +121,6 @@ func main() {
 		"write the bound admin address to this file once listening (for :0 port discovery)")
 	flag.DurationVar(&o.slowOp, "slow-op", server.DefaultSlowOp,
 		"runs and WAL syncs slower than this are recorded in the event trace")
-	flag.IntVar(&o.traceEvents, "trace-events", telemetry.DefaultTraceEvents,
-		"event-trace ring capacity for /trace")
 	flag.Float64Var(&o.traceSample, "trace-sample", 0,
 		"distributed-tracing head-sampling probability in [0,1]; 0 disables tracing (requires -admin-addr for /spans)")
 	flag.IntVar(&o.traceSpans, "trace-spans", span.DefaultRingSpans,
@@ -199,12 +196,13 @@ func run(o options) error {
 		defer mon.Stop()
 	}
 
-	// Telemetry rides the admin endpoint: no -admin-addr means no registry,
-	// and the serving path stays observation-free.
+	// Telemetry rides the admin endpoint: no -admin-addr means no latency
+	// histograms, event trace or spans, and the serving path records
+	// nothing beyond its counters.
 	var tel *server.Telemetry
 	if o.adminAddr != "" {
 		reg := telemetry.NewRegistry()
-		tracer := telemetry.NewTracer(o.traceEvents)
+		tracer := telemetry.NewTracer(telemetry.DefaultTraceEvents)
 		tel = server.NewTelemetry(reg, tracer, o.slowOp)
 		switch {
 		case mon != nil:
@@ -212,16 +210,7 @@ func run(o options) error {
 		case ordo != nil:
 			// No monitor, but an Ordo engine: export the boundary directly
 			// so ordo_boundary_ns is on every scrape of an ordo server.
-			hz := tsc.Frequency()
-			reg.GaugeFunc("ordo_boundary_ns", "Current ORDO_BOUNDARY in nanoseconds.",
-				func() float64 {
-					if hz == 0 {
-						return 0
-					}
-					return float64(ordo.Boundary()) / float64(hz) * 1e9
-				})
-			reg.GaugeFunc("ordo_boundary_ticks", "Current ORDO_BOUNDARY in invariant-counter ticks.",
-				func() float64 { return float64(ordo.Boundary()) })
+			health.RegisterBoundary(reg, ordo, tsc.Frequency)
 		}
 	}
 
@@ -633,21 +622,23 @@ func run(o options) error {
 		return err
 	}
 
-	snap := srv.Snapshot()
-	log.Printf("drained: %d conns, %d commits, %d aborts, %d batches (avg %.1f ops), %d shed, %d degraded, %d evicted, %d wal flushes (%d records, %d device errors)",
-		snap.ConnsTotal, snap.Commits, snap.Aborts, snap.Batches, snap.AvgBatch,
-		snap.Busy, snap.Degraded, snap.Evictions,
-		snap.WALFlushes, snap.WALRecords, snap.WALDeviceErrors)
+	doc := srv.Varz()
+	log.Printf("drained: %v conns, %v commits, %v aborts, %v batches (%v ops), %v shed, %v degraded, %v evicted, %v wal flushes (%v records, %v device errors)",
+		doc["ordod_conns_total"], doc["ordod_commits_total"], doc["ordod_aborts_total"], doc["ordod_batches_total"],
+		doc["ordod_batched_ops_total"], doc["ordod_busy_total"], doc["ordod_degraded_runs_total"], doc["ordod_evictions_total"],
+		doc["ordod_wal_flushes_total"], doc["ordod_wal_records_total"], doc["ordod_wal_device_errors_total"])
 	if o.healthJSON != "" {
-		if err := emitSnapshot(snap, o.healthJSON); err != nil {
+		if err := emitSnapshot(doc, o.healthJSON); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func emitSnapshot(snap server.Snapshot, path string) error {
-	buf, err := json.MarshalIndent(snap, "", "  ")
+// emitSnapshot writes the drain document (Server.Varz) to path, "-" for
+// stdout.
+func emitSnapshot(doc map[string]any, path string) error {
+	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err
 	}

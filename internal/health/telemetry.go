@@ -3,6 +3,7 @@ package health
 import (
 	"fmt"
 
+	"ordo/internal/core"
 	"ordo/internal/telemetry"
 )
 
@@ -17,16 +18,7 @@ func (m *Monitor) Telemetry(reg *telemetry.Registry, tracer *telemetry.Tracer) {
 	m.tracer = tracer
 	m.mu.Unlock()
 
-	reg.GaugeFunc("ordo_boundary_ns", "Current ORDO_BOUNDARY in nanoseconds.",
-		func() float64 {
-			hz := m.tickHz()
-			if hz == 0 {
-				return 0
-			}
-			return float64(m.o.Boundary()) / float64(hz) * 1e9
-		})
-	reg.GaugeFunc("ordo_boundary_ticks", "Current ORDO_BOUNDARY in invariant-counter ticks.",
-		func() float64 { return float64(m.o.Boundary()) })
+	RegisterBoundary(reg, m.o, m.tickHz)
 	reg.GaugeFunc("ordo_drift_ppm", "Invariant counter frequency deviation vs the OS clock, parts per million.",
 		func() float64 {
 			m.mu.Lock()
@@ -64,6 +56,21 @@ func (m *Monitor) Telemetry(reg *telemetry.Registry, tracer *telemetry.Tracer) {
 			_, unc, _ := m.stats.CmpCounts()
 			return unc
 		})
+}
+
+// RegisterBoundary registers o's ORDO_BOUNDARY gauges on reg; hz reports
+// the invariant counter's frequency (0 while unknown). Monitor.Telemetry
+// calls it, and so does a server that runs an Ordo clock without a monitor.
+func RegisterBoundary(reg *telemetry.Registry, o *core.Ordo, hz func() uint64) {
+	reg.GaugeFunc("ordo_boundary_ns", "Current ORDO_BOUNDARY in nanoseconds.",
+		func() float64 {
+			if f := hz(); f != 0 {
+				return float64(o.Boundary()) / float64(f) * 1e9
+			}
+			return 0
+		})
+	reg.GaugeFunc("ordo_boundary_ticks", "Current ORDO_BOUNDARY in invariant-counter ticks.",
+		func() float64 { return float64(o.Boundary()) })
 }
 
 // traceRecalibration emits one pass into the tracer. Called with m.mu held.

@@ -15,10 +15,11 @@ import (
 
 // NewAdminHandler builds ordod's admin mux over one server:
 //
-//	/metrics       Prometheus text exposition of the bound registry
+//	/metrics       Prometheus text exposition of the server's registry:
+//	               the counter catalogue, plus the Telemetry histograms
 //	/healthz       JSON liveness: 200 while serving, 503 when the WAL
 //	               device failed (reads-only) or a drain is in progress
-//	/varz          the full Snapshot() JSON document
+//	/varz          the catalogue as one JSON document (Server.Varz)
 //	/trace         the event tracer's ring dump; ?kind= and ?limit=
 //	               filter server-side, ?since_ns= is the poll cursor
 //	               (pass back the previous dump's now_ns)
@@ -33,20 +34,15 @@ import (
 func NewAdminHandler(s *Server) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		t := s.cfg.Telemetry
-		if t == nil {
-			http.Error(w, "telemetry disabled", http.StatusNotFound)
-			return
-		}
 		w.Header().Set("Content-Type", telemetry.ContentType)
-		_ = t.reg.WritePrometheus(w)
+		_ = s.reg.WritePrometheus(w)
 	})
 	mux.HandleFunc("/healthz", s.healthz)
 	mux.HandleFunc("/varz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(s.Snapshot())
+		_ = enc.Encode(s.Varz())
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		var tr *telemetry.Tracer

@@ -96,6 +96,8 @@ func chaosRun(t *testing.T, proto db.Protocol) {
 		IdleTimeout:  2 * time.Second,
 		WriteTimeout: 2 * time.Second,
 		WAL:          wal.New(dev, nil),
+		// Records the flush histogram behind ordod_wal_flush_p99_ns.
+		Telemetry: NewTelemetry(nil, nil, 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +160,7 @@ func chaosRun(t *testing.T, proto db.Protocol) {
 		}
 	}
 
-	snap := srv.Snapshot()
+	snap := counters(srv)
 	assertSnapshotConsistent(t, proto, snap)
 	// The drained log must recover cleanly and account for every record the
 	// server counted: no duplicates (no device failures happened), no torn
@@ -170,8 +172,8 @@ func chaosRun(t *testing.T, proto db.Protocol) {
 	if err != nil {
 		t.Fatalf("recovering drained chaos log: %v", err)
 	}
-	if uint64(info.Records) != snap.WALRecords {
-		t.Fatalf("device holds %d records, server counted %d", info.Records, snap.WALRecords)
+	if uint64(info.Records) != snap["ordod_wal_records_total"] {
+		t.Fatalf("device holds %d records, server counted %d", info.Records, snap["ordod_wal_records_total"])
 	}
 	if info.Duplicates != 0 || info.TruncatedBytes != 0 {
 		t.Fatalf("clean drain left duplicates=%d truncated=%d", info.Duplicates, info.TruncatedBytes)
@@ -183,14 +185,14 @@ func chaosRun(t *testing.T, proto db.Protocol) {
 		t.Fatalf("fault injector barely fired: %+v — raise probabilities or op count", inj)
 	}
 	t.Logf("%s chaos: done=%d commits=%d aborts=%d batches=%d degraded=%d busy=%d evicted=%d proto_errs=%d clock_cmps=%d injected=%+v",
-		proto, totalDone, snap.Commits, snap.Aborts, snap.Batches, snap.Degraded,
-		snap.Busy, snap.Evictions, snap.ProtoErrs, snap.ClockCmps, inj)
+		proto, totalDone, snap["ordod_commits_total"], snap["ordod_aborts_total"], snap["ordod_batches_total"], snap["ordod_degraded_runs_total"],
+		snap["ordod_busy_total"], snap["ordod_evictions_total"], snap["ordod_protocol_errors_total"], snap["ordod_clock_cmps_total"], inj)
 
 	// CI's chaos-smoke job archives the drained snapshot for trend
 	// inspection across runs.
 	if path := os.Getenv("CHAOS_SNAPSHOT_JSON"); path != "" {
 		buf, err := json.MarshalIndent(map[string]any{
-			"protocol": proto.String(), "ops_done": totalDone, "snapshot": snap,
+			"protocol": proto.String(), "ops_done": totalDone, "snapshot": srv.Varz(),
 		}, "", "  ")
 		if err != nil {
 			t.Fatal(err)
@@ -252,47 +254,47 @@ func chaosPreload(t *testing.T, addr string) {
 // assertSnapshotConsistent checks the drained snapshot's internal
 // arithmetic: every batch commit is an engine commit, batching never
 // exceeds its cap, and nothing is still connected.
-func assertSnapshotConsistent(t *testing.T, proto db.Protocol, snap Snapshot) {
+func assertSnapshotConsistent(t *testing.T, proto db.Protocol, snap map[string]uint64) {
 	t.Helper()
-	if snap.Commits == 0 {
+	if snap["ordod_commits_total"] == 0 {
 		t.Fatal("server committed nothing under chaos")
 	}
-	if snap.Commits+snap.Aborts < snap.Batches {
-		t.Fatalf("commits+aborts=%d < batches=%d", snap.Commits+snap.Aborts, snap.Batches)
+	if snap["ordod_commits_total"]+snap["ordod_aborts_total"] < snap["ordod_batches_total"] {
+		t.Fatalf("commits+aborts=%d < batches=%d", snap["ordod_commits_total"]+snap["ordod_aborts_total"], snap["ordod_batches_total"])
 	}
-	if snap.BatchedOps < snap.Batches {
-		t.Fatalf("batchedOps=%d < batches=%d", snap.BatchedOps, snap.Batches)
+	if snap["ordod_batched_ops_total"] < snap["ordod_batches_total"] {
+		t.Fatalf("batchedOps=%d < batches=%d", snap["ordod_batched_ops_total"], snap["ordod_batches_total"])
 	}
-	if snap.Batches > 0 && snap.AvgBatch > 16 {
-		t.Fatalf("avg batch %.1f exceeds MaxBatch", snap.AvgBatch)
+	if b := snap["ordod_batches_total"]; b > 0 && snap["ordod_batched_ops_total"] > 16*b {
+		t.Fatalf("avg batch %.1f exceeds MaxBatch", float64(snap["ordod_batched_ops_total"])/float64(b))
 	}
-	if snap.ConnsActive != 0 {
-		t.Fatalf("conns still active after shutdown: %d", snap.ConnsActive)
+	if snap["ordod_conns_active"] != 0 {
+		t.Fatalf("conns still active after shutdown: %d", snap["ordod_conns_active"])
 	}
-	if proto == db.OCCOrdo && snap.ClockCmps == 0 {
+	if proto == db.OCCOrdo && snap["ordod_clock_cmps_total"] == 0 {
 		t.Fatal("OCC_ORDO chaos run recorded no hardware-clock comparisons")
 	}
-	if snap.Panics != 0 {
-		t.Fatalf("worker panics under chaos: %d", snap.Panics)
+	if snap["ordod_panics_total"] != 0 {
+		t.Fatalf("worker panics under chaos: %d", snap["ordod_panics_total"])
 	}
 	// Durable-mode arithmetic: the preload alone guarantees logged writes;
 	// each redo record rides exactly one committed transaction; a counted
 	// flush wrote at least one record and recorded its sync latency; and a
 	// tmpdir device must never fail.
-	if snap.WALRecords == 0 {
+	if snap["ordod_wal_records_total"] == 0 {
 		t.Fatal("durable chaos run logged no redo records")
 	}
-	if snap.WALRecords > snap.Commits {
-		t.Fatalf("wal_records=%d > commits=%d: a redo record without a commit", snap.WALRecords, snap.Commits)
+	if snap["ordod_wal_records_total"] > snap["ordod_commits_total"] {
+		t.Fatalf("wal_records=%d > commits=%d: a redo record without a commit", snap["ordod_wal_records_total"], snap["ordod_commits_total"])
 	}
-	if snap.WALFlushes == 0 || snap.WALFlushes > snap.WALRecords {
-		t.Fatalf("wal_flushes=%d inconsistent with wal_records=%d", snap.WALFlushes, snap.WALRecords)
+	if snap["ordod_wal_flushes_total"] == 0 || snap["ordod_wal_flushes_total"] > snap["ordod_wal_records_total"] {
+		t.Fatalf("wal_flushes=%d inconsistent with wal_records=%d", snap["ordod_wal_flushes_total"], snap["ordod_wal_records_total"])
 	}
-	if snap.WALSyncNsP99 == 0 {
-		t.Fatal("wal_sync_ns_p99 is zero with flushes recorded")
+	if snap["ordod_wal_flush_p99_ns"] == 0 {
+		t.Fatal("ordod_wal_flush_p99_ns is zero with flushes recorded")
 	}
-	if snap.WALDeviceErrors != 0 {
-		t.Fatalf("wal_device_errors=%d on a healthy device", snap.WALDeviceErrors)
+	if snap["ordod_wal_device_errors_total"] != 0 {
+		t.Fatalf("wal_device_errors=%d on a healthy device", snap["ordod_wal_device_errors_total"])
 	}
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -289,6 +290,7 @@ func (c *serverConn) readLoop() {
 			c.finishRead()
 		}
 	}()
+	var batch []item
 	for {
 		c.armReadDeadline()
 		payload, err := wire.ReadFrame(c.br, c.getBuf())
@@ -299,8 +301,26 @@ func (c *serverConn) readLoop() {
 		}
 		// PeekOp masks the trace flag: a traced op must classify into the
 		// same run kind as its untraced form.
-		c.enqueue(item{payload: payload, op: wire.PeekOp(payload)})
+		batch = append(batch[:0], item{payload: payload, op: wire.PeekOp(payload)})
+		// Every further frame already whole in the read buffer joins the
+		// same wakeup, so a pipelined window reaches the worker at once and
+		// folds into one run instead of whatever prefix it popped first.
+		for c.frameBuffered() {
+			if payload, err = wire.ReadFrame(c.br, c.getBuf()); err != nil {
+				break // cannot happen: the frame is buffered and in bounds
+			}
+			batch = append(batch, item{payload: payload, op: wire.PeekOp(payload)})
+		}
+		c.enqueue(batch...)
 	}
+}
+
+// frameBuffered reports whether the read buffer holds a whole in-bounds
+// frame, which ReadFrame then returns without touching the socket.
+func (c *serverConn) frameBuffered() bool {
+	b, _ := c.br.Peek(c.br.Buffered())
+	n, k := binary.Uvarint(b)
+	return k > 0 && n <= wire.MaxFrame && n <= uint64(len(b)-k)
 }
 
 // finishRead marks the reader done and wakes the worker so it can finish
@@ -348,20 +368,28 @@ func (c *serverConn) classifyReadError(err error) {
 	c.enqueue(item{protoErr: true})
 }
 
-// enqueue appends one item, shedding it if the queue is past QueueDepth and
-// blocking if it is past the hard cap.
-func (c *serverConn) enqueue(it item) {
+// enqueue appends items in order and wakes the worker once, shedding each
+// item that finds the queue past QueueDepth and blocking while it is past
+// the hard cap.
+func (c *serverConn) enqueue(items ...item) {
+	var now time.Time
 	if c.tel != nil {
-		it.enq = time.Now()
+		now = time.Now()
 	}
 	c.mu.Lock()
-	for len(c.pending) >= c.hardCap() && !c.draining {
-		c.cond.Wait()
+	for _, it := range items {
+		if len(c.pending) >= c.hardCap() && !c.draining {
+			c.cond.Broadcast() // the worker may not have seen this batch yet
+			for len(c.pending) >= c.hardCap() && !c.draining {
+				c.cond.Wait()
+			}
+		}
+		it.enq = now
+		if !it.protoErr && len(c.pending) >= c.srv.cfg.QueueDepth {
+			it.shed = true
+		}
+		c.pending = append(c.pending, it)
 	}
-	if !it.protoErr && len(c.pending) >= c.srv.cfg.QueueDepth {
-		it.shed = true
-	}
-	c.pending = append(c.pending, it)
 	c.mu.Unlock()
 	c.cond.Broadcast()
 }
@@ -826,10 +854,10 @@ func (c *serverConn) gather() (seq uint64, err error) {
 // seq (a zero seq logged nothing) and on failure erases the provisional
 // acks: each write in reqs still answered OK flips to the failure's
 // status, ERR for a device failure (the log could not honor it — DESIGN.md
-// §10, wal_unacked_writes) or UNCERTAIN for a replication-ack timeout
-// (durable locally, replication pending). A TXN caller then answers the
-// returned error for the whole TXN. Writes whose own append failed were
-// already answered ERR by the log step.
+// §10; only these count under wal_unacked_writes) or UNCERTAIN for a
+// replication-ack timeout (durable locally, replication pending). A TXN
+// caller then answers the returned error for the whole TXN. Writes whose
+// own append failed were already answered ERR by the log step.
 func (c *serverConn) awaitAck(seq uint64, reqs []wire.Request, resps []wire.Response) error {
 	if seq == 0 {
 		return nil
@@ -856,7 +884,9 @@ func (c *serverConn) awaitAck(seq uint64, reqs []wire.Request, resps []wire.Resp
 			flipped++
 		}
 	}
-	c.srv.m.walUnackedWrites.Add(flipped)
+	if status == wire.StatusErr {
+		c.srv.m.walUnackedWrites.Add(flipped)
+	}
 	return err
 }
 
@@ -1160,42 +1190,15 @@ func (c *serverConn) execTxnCrossRead(req *wire.Request, resps []wire.Response) 
 	return txnResponse(resps, err)
 }
 
-// execStats answers a STATS frame from server metrics.
+// execStats answers a STATS frame with the server's counter catalogue.
 func (c *serverConn) execStats() wire.Response {
 	c.srv.m.statsOps.Add(1)
-	m := &c.srv.m
-	st := &wire.Stats{
-		Protocol:         c.srv.cfg.DB.Protocol().String(),
-		Commits:          m.commits.Load(),
-		Aborts:           m.aborts.Load(),
-		Batches:          m.batches.Load(),
-		BatchedOps:       m.batchedOps.Load(),
-		Busy:             m.busy.Load(),
-		Degraded:         m.degraded.Load(),
-		ClockCmps:        m.clockCmps.Load(),
-		ClockUncertain:   m.clockUncertain.Load(),
-		WALFlushes:       m.walFlushes.Load(),
-		WALRecords:       m.walRecords.Load(),
-		WALDeviceErrors:  m.walDeviceErrors.Load(),
-		WALUnackedWrites: m.walUnackedWrites.Load(),
+	cat := c.srv.Catalogue()
+	pairs := make([]wire.Stat, len(cat))
+	for i, smp := range cat {
+		pairs[i] = wire.Stat{Name: smp.Series, Value: smp.Value}
 	}
-	if c.srv.gc != nil {
-		st.WALSyncNsP99 = c.srv.gc.syncP99()
-	}
-	if r := c.srv.cfg.Recovery; r != nil {
-		st.RecoveredRecords = uint64(r.Records)
-		st.TruncatedBytes = uint64(r.TruncatedBytes)
-	}
-	if rs := c.srv.cfg.Repl; rs != nil {
-		st.ReplFollowers = uint64(rs.Followers())
-		st.ReplLagRecords = rs.Lag()
-		st.ReplWatermarkNS = rs.WatermarkNS()
-		st.ReplEpoch = rs.Epoch()
-		st.ReplRoleCode = uint64(rs.Role())
-		st.Promotions = rs.Promotions()
-		st.Fencings = rs.Fencings()
-		st.ReplReconnects = rs.Reconnects()
-	}
+	st := wire.NewStats(c.srv.cfg.DB.Protocol().String(), pairs)
 	return wire.Response{Kind: wire.RespStats, Status: wire.StatusOK, Stats: st}
 }
 

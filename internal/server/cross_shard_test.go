@@ -196,18 +196,18 @@ func TestCrossShardTxnLinearizability(t *testing.T) {
 			t.Fatalf("serve: %v", err)
 		}
 	}
-	snap := srv.Snapshot()
-	if snap.Panics != 0 {
-		t.Fatalf("panics: %d", snap.Panics)
+	snap := counters(srv)
+	if snap["ordod_panics_total"] != 0 {
+		t.Fatalf("panics: %d", snap["ordod_panics_total"])
 	}
-	if snap.CrossTxns == 0 {
+	if snap["ordod_cross_shard_txns_total"] == 0 {
 		t.Fatal("no transfer ever crossed lanes — the test exercised nothing")
 	}
-	if snap.CrossReads == 0 {
+	if snap["ordod_cross_shard_reads_total"] == 0 {
 		t.Fatal("no read was ever merged across lanes")
 	}
 	t.Logf("cross-shard: txns=%d cross_txns=%d cross_reads=%d retries=%d not_yet=%d ok_reads=%d",
-		snap.Txns, snap.CrossTxns, snap.CrossReads, snap.CrossRetries, snap.CrossNotYet, okReads.Load())
+		snap[`ordod_ops_total{op="txn"}`], snap["ordod_cross_shard_txns_total"], snap["ordod_cross_shard_reads_total"], snap["ordod_cross_shard_retries_total"], snap["ordod_cross_shard_not_yet_total"], okReads.Load())
 
 	// Crash-recovery vantage point: replay the drained log into a fresh
 	// engine. Every transfer logged exactly one coordinator record, so the
@@ -499,10 +499,10 @@ func TestCrossShardReadFirstPass(t *testing.T) {
 			}
 		}
 	}
-	snap := ts.srv.Snapshot()
-	if snap.CrossReads != 3 || snap.CrossRetries != 0 || snap.CrossNotYet != 0 {
+	snap := counters(ts.srv)
+	if snap["ordod_cross_shard_reads_total"] != 3 || snap["ordod_cross_shard_retries_total"] != 0 || snap["ordod_cross_shard_not_yet_total"] != 0 {
 		t.Fatalf("cross_shard_reads=%d retries=%d not_yet=%d, want 3 reads served on the first pass",
-			snap.CrossReads, snap.CrossRetries, snap.CrossNotYet)
+			snap["ordod_cross_shard_reads_total"], snap["ordod_cross_shard_retries_total"], snap["ordod_cross_shard_not_yet_total"])
 	}
 	for ln := 0; ln < ts.srv.lanes.N(); ln++ {
 		if h := ts.srv.lanes.Lane(ln).Holds(); h != 0 {

@@ -185,8 +185,8 @@ func TestProtoErrFlushOrdering(t *testing.T) {
 	if _, err := c.ReadResponse(); !errors.Is(err, io.EOF) {
 		t.Fatalf("connection must close after protocol error, got %v", err)
 	}
-	if snap := srv.Snapshot(); snap.ProtoErrs != 1 {
-		t.Fatalf("protoErrs=%d, want 1", snap.ProtoErrs)
+	if snap := counters(srv); snap["ordod_protocol_errors_total"] != 1 {
+		t.Fatalf("protoErrs=%d, want 1", snap["ordod_protocol_errors_total"])
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -275,8 +275,8 @@ func TestDurableDrainCoversAckedWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap := srv.Snapshot(); uint64(info.Records) != snap.WALRecords {
-		t.Fatalf("device holds %d records, server counted %d", info.Records, snap.WALRecords)
+	if snap := counters(srv); uint64(info.Records) != snap["ordod_wal_records_total"] {
+		t.Fatalf("device holds %d records, server counted %d", info.Records, snap["ordod_wal_records_total"])
 	}
 	if info.Duplicates != 0 || info.TruncatedBytes != 0 {
 		t.Fatalf("clean drain left duplicates=%d truncated=%d", info.Duplicates, info.TruncatedBytes)
@@ -347,7 +347,7 @@ func TestShutdownCtxExpiresMidBatch(t *testing.T) {
 	}
 }
 
-// TestScrapeDuringDrain hammers /metrics, /healthz, and Snapshot() across
+// TestScrapeDuringDrain hammers /metrics, /healthz, and the catalogue across
 // the whole drain window — workers mid-flight, workers exiting and closing
 // their histogram shards, lanes shutting down — and keeps scraping after
 // Shutdown returns. Run under -race this pins the invariant that a scrape
@@ -414,9 +414,9 @@ func TestScrapeDuringDrain(t *testing.T) {
 				return
 			default:
 			}
-			snap := srv.Snapshot()
-			if snap.Panics != 0 {
-				scraperDone <- fmt.Errorf("panics mid-drain: %d", snap.Panics)
+			snap := counters(srv)
+			if snap["ordod_panics_total"] != 0 {
+				scraperDone <- fmt.Errorf("panics mid-drain: %d", snap["ordod_panics_total"])
 				return
 			}
 		}

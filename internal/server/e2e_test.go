@@ -112,22 +112,23 @@ func TestEndToEnd(t *testing.T) {
 				}
 			}
 
-			snap := srv.Snapshot()
-			if snap.Commits == 0 {
+			snap := counters(srv)
+			if snap["ordod_commits_total"] == 0 {
 				t.Fatal("server committed nothing")
 			}
-			if snap.ProtoErrs != 0 {
-				t.Fatalf("protocol errors: %d", snap.ProtoErrs)
+			if snap["ordod_protocol_errors_total"] != 0 {
+				t.Fatalf("protocol errors: %d", snap["ordod_protocol_errors_total"])
 			}
-			if total := snap.Gets + snap.Puts; total < clients*opsPer {
+			if total := snap[`ordod_ops_total{op="get"}`] + snap[`ordod_ops_total{op="put"}`]; total < clients*opsPer {
 				t.Fatalf("served %d simple ops, want ≥ %d", total, clients*opsPer)
 			}
-			if proto == db.OCCOrdo && snap.ClockCmps == 0 {
+			if proto == db.OCCOrdo && snap["ordod_clock_cmps_total"] == 0 {
 				t.Fatal("OCC_ORDO run recorded no hardware-clock comparisons")
 			}
 			t.Logf("%s: commits=%d aborts=%d batches=%d avg_batch=%.1f clock_cmps=%d uncertain=%d",
-				proto, snap.Commits, snap.Aborts, snap.Batches, snap.AvgBatch,
-				snap.ClockCmps, snap.ClockUncertain)
+				proto, snap["ordod_commits_total"], snap["ordod_aborts_total"], snap["ordod_batches_total"],
+				float64(snap["ordod_batched_ops_total"])/float64(max(snap["ordod_batches_total"], 1)),
+				snap["ordod_clock_cmps_total"], snap["ordod_clock_uncertain_total"])
 		})
 	}
 }

@@ -76,15 +76,15 @@ func TestOversizeFrameDesyncFatal(t *testing.T) {
 		t.Fatalf("connection must close after oversize frame, got %v", err)
 	}
 
-	snap := srv.Snapshot()
-	if snap.ProtoErrs != 1 {
-		t.Fatalf("protoErrs=%d, want 1", snap.ProtoErrs)
+	snap := counters(srv)
+	if snap["ordod_protocol_errors_total"] != 1 {
+		t.Fatalf("protoErrs=%d, want 1", snap["ordod_protocol_errors_total"])
 	}
-	if snap.Evictions != 1 {
-		t.Fatalf("evictions=%d, want 1", snap.Evictions)
+	if snap["ordod_evictions_total"] != 1 {
+		t.Fatalf("evictions=%d, want 1", snap["ordod_evictions_total"])
 	}
-	if snap.Puts != 0 {
-		t.Fatalf("smuggled PUT executed: puts=%d, want 0", snap.Puts)
+	if snap[`ordod_ops_total{op="put"}`] != 0 {
+		t.Fatalf("smuggled PUT executed: puts=%d, want 0", snap[`ordod_ops_total{op="put"}`])
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -37,14 +37,14 @@ func TestIdleEviction(t *testing.T) {
 	if _, err := c.ReadResponse(); !errors.Is(err, io.EOF) {
 		t.Fatalf("idle connection should see EOF, got %v", err)
 	}
-	snap := srv.Snapshot()
-	if snap.Evictions != 1 {
-		t.Fatalf("evictions=%d, want 1", snap.Evictions)
+	snap := counters(srv)
+	if snap["ordod_evictions_total"] != 1 {
+		t.Fatalf("evictions=%d, want 1", snap["ordod_evictions_total"])
 	}
-	if snap.ProtoErrs != 0 {
-		t.Fatalf("idle eviction miscounted as protocol error: protoErrs=%d", snap.ProtoErrs)
+	if snap["ordod_protocol_errors_total"] != 0 {
+		t.Fatalf("idle eviction miscounted as protocol error: protoErrs=%d", snap["ordod_protocol_errors_total"])
 	}
-	waitFor(t, "connection teardown", func() bool { return srv.Snapshot().ConnsActive == 0 })
+	waitFor(t, "connection teardown", func() bool { return counters(srv)["ordod_conns_active"] == 0 })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -93,8 +93,8 @@ func TestWriteStallEviction(t *testing.T) {
 		writeErr <- c.Flush()
 	}()
 
-	waitFor(t, "write-stall eviction", func() bool { return srv.Snapshot().Evictions >= 1 })
-	waitFor(t, "connection teardown", func() bool { return srv.Snapshot().ConnsActive == 0 })
+	waitFor(t, "write-stall eviction", func() bool { return counters(srv)["ordod_evictions_total"] >= 1 })
+	waitFor(t, "connection teardown", func() bool { return counters(srv)["ordod_conns_active"] == 0 })
 	<-writeErr // client writer exited (error once the server closed, or done)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -146,8 +146,8 @@ func TestPanicContainment(t *testing.T) {
 	if err != nil || resp.Status != wire.StatusOK {
 		t.Fatalf("post-panic op: %+v, %v", resp, err)
 	}
-	if snap := srv.Snapshot(); snap.Panics != 1 {
-		t.Fatalf("panics=%d, want 1", snap.Panics)
+	if snap := counters(srv); snap["ordod_panics_total"] != 1 {
+		t.Fatalf("panics=%d, want 1", snap["ordod_panics_total"])
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -217,22 +217,22 @@ func TestDegradedBatchMetrics(t *testing.T) {
 		}
 	}
 
-	snap := srv.Snapshot()
-	if snap.Degraded != 1 {
-		t.Fatalf("degraded=%d, want 1", snap.Degraded)
+	snap := counters(srv)
+	if snap["ordod_degraded_runs_total"] != 1 {
+		t.Fatalf("degraded=%d, want 1", snap["ordod_degraded_runs_total"])
 	}
 	// The seed insert plus both window inserts ran (DUPLICATE is an engine
 	// answer, not an ERR); the GET ran once.
-	if snap.Inserts != 3 || snap.Gets != 1 {
-		t.Fatalf("inserts=%d gets=%d, want 3/1", snap.Inserts, snap.Gets)
+	if snap[`ordod_ops_total{op="insert"}`] != 3 || snap[`ordod_ops_total{op="get"}`] != 1 {
+		t.Fatalf("inserts=%d gets=%d, want 3/1", snap[`ordod_ops_total{op="insert"}`], snap[`ordod_ops_total{op="get"}`])
 	}
 
 	// An op rejected by schema validation answers ERR and must not count.
 	if resp, err := c.Do(&wire.Request{Op: wire.OpGet, Table: 9, Key: 1}); err != nil || resp.Status != wire.StatusErr {
 		t.Fatalf("invalid-table GET: %+v, %v", resp, err)
 	}
-	if snap := srv.Snapshot(); snap.Gets != 1 {
-		t.Fatalf("ERR op tallied into gets: %d, want 1", snap.Gets)
+	if snap := counters(srv); snap[`ordod_ops_total{op="get"}`] != 1 {
+		t.Fatalf("ERR op tallied into gets: %d, want 1", snap[`ordod_ops_total{op="get"}`])
 	}
 
 	// The STATS frame carries the degraded counter.

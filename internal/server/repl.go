@@ -41,8 +41,8 @@ const (
 
 // ReplState is the shared replication scoreboard between a Server and the
 // repl subsystem that feeds it: the repl.Source (leader) or repl.Follower
-// (follower) writes it, and the server's STATS responses, /varz snapshot,
-// /healthz rule, watermark gate and telemetry gauges read it. All fields
+// (follower) writes it, and the server's counter catalogue, /healthz rule
+// and watermark gate read it. All fields
 // are atomics; every method is safe for concurrent use.
 type ReplState struct {
 	role   atomic.Int32 // ReplRole; atomic because failover promotes in place

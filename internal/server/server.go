@@ -26,7 +26,6 @@ package server
 import (
 	"context"
 	"errors"
-	"expvar"
 	"fmt"
 	"net"
 	"sync"
@@ -37,6 +36,7 @@ import (
 	"ordo/internal/db"
 	"ordo/internal/health"
 	"ordo/internal/shard"
+	"ordo/internal/telemetry"
 	"ordo/internal/telemetry/span"
 	"ordo/internal/wal"
 	"ordo/internal/wire"
@@ -91,8 +91,8 @@ type Config struct {
 	// blocked write. Zero disables write deadlines.
 	WriteTimeout time.Duration
 
-	// Monitor, when set, contributes the clock-health snapshot to
-	// Snapshot(); the server does not start or stop it.
+	// Monitor, when set, contributes the clock-health snapshot to Varz();
+	// the server does not start or stop it.
 	Monitor *health.Monitor
 
 	// WAL, when set, enables durable serving: committed write-sets append
@@ -106,7 +106,7 @@ type Config struct {
 	WAL *wal.Log
 
 	// Recovery, when set, is the startup recovery this server's engine was
-	// seeded from; it rides along in Snapshot() and STATS responses.
+	// seeded from; the catalogue reports its record and truncation counts.
 	Recovery *wal.RecoveryInfo
 
 	// ReadOnly refuses every mutating op without touching the engine —
@@ -130,15 +130,16 @@ type Config struct {
 	// disables the gate (async replication, the pre-failover behavior).
 	ReplAckBound time.Duration
 
-	// Repl, when set, attaches the replication scoreboard: STATS and
-	// Snapshot() gain repl fields, /healthz applies the follower lag rule,
-	// and on a follower GET_AT is gated on the safe-read watermark.
+	// Repl, when set, attaches the replication scoreboard: the catalogue
+	// gains the repl series, /healthz applies the follower lag rule, and on
+	// a follower GET_AT is gated on the safe-read watermark.
 	Repl *ReplState
 
-	// Telemetry, when set, wires the server's counters and latency
-	// histograms into a metrics registry and event tracer (telemetry.go).
-	// New binds it and installs the WAL flush observer on Config.WAL; a
-	// Telemetry instance serves exactly one Server.
+	// Telemetry, when set, adds latency histograms, the event tracer and
+	// span capture (telemetry.go), and the counter catalogue is registered
+	// into its registry instead of a private one. New installs the WAL
+	// flush observer on Config.WAL; a Telemetry instance serves exactly one
+	// Server.
 	Telemetry *Telemetry
 
 	// Logf receives connection-level diagnostics. Nil discards them.
@@ -185,10 +186,15 @@ type Server struct {
 	crossMu sync.Mutex
 
 	m metrics
+	// reg holds the counter catalogue (registerCatalogue); with a
+	// Telemetry it is the Telemetry's registry, so /metrics scrapes the
+	// catalogue next to the histograms.
+	reg *telemetry.Registry
 }
 
 // metrics is the server-wide counter set. Workers add deltas after every
 // execution unit, so reads are race-free and never touch live sessions.
+// Each atomic is exported exactly once, by registerCatalogue.
 type metrics struct {
 	connsTotal  atomic.Uint64
 	connsActive atomic.Int64
@@ -242,72 +248,6 @@ func (m *metrics) flushSession(sess db.Session, last *sessCounters) {
 	}
 }
 
-// Snapshot is a point-in-time JSON-marshalable view of the server,
-// following the same expvar conventions as health.Snapshot; when a Monitor
-// is attached its clock-health snapshot rides along, so one document shows
-// protocol-level commits next to boundary state and uncertainty rates.
-type Snapshot struct {
-	Protocol    string `json:"protocol"`
-	ConnsTotal  uint64 `json:"conns_total"`
-	ConnsActive int64  `json:"conns_active"`
-
-	Gets     uint64 `json:"ops_get"`
-	Puts     uint64 `json:"ops_put"`
-	Inserts  uint64 `json:"ops_insert"`
-	Deletes  uint64 `json:"ops_delete"`
-	Txns     uint64 `json:"ops_txn"`
-	TxnOps   uint64 `json:"txn_inner_ops"`
-	StatsOps uint64 `json:"ops_stats"`
-
-	Batches    uint64  `json:"batches"`
-	BatchedOps uint64  `json:"batched_ops"`
-	AvgBatch   float64 `json:"avg_batch,omitempty"`
-
-	Shards       int    `json:"shards"`
-	CrossTxns    uint64 `json:"cross_shard_txns"`
-	CrossReads   uint64 `json:"cross_shard_reads"`
-	CrossRetries uint64 `json:"cross_shard_retries"`
-	CrossNotYet  uint64 `json:"cross_shard_not_yet"`
-
-	Busy      uint64 `json:"busy_shed"`
-	Degraded  uint64 `json:"degraded"`
-	ProtoErrs uint64 `json:"protocol_errors"`
-	Evictions uint64 `json:"evictions"`
-	Panics    uint64 `json:"panics"`
-
-	Commits        uint64  `json:"commits"`
-	Aborts         uint64  `json:"aborts"`
-	ClockCmps      uint64  `json:"clock_cmps"`
-	ClockUncertain uint64  `json:"clock_uncertain"`
-	UncertainRate  float64 `json:"uncertain_rate"`
-
-	// WAL counters; all zero when serving without durability.
-	WALFlushes       uint64 `json:"wal_flushes"`
-	WALRecords       uint64 `json:"wal_records"`
-	WALSyncNsP99     uint64 `json:"wal_sync_ns_p99"`
-	WALDeviceErrors  uint64 `json:"wal_device_errors"`
-	WALUnackedWrites uint64 `json:"wal_unacked_writes"`
-	RecoveredRecords uint64 `json:"recovered_records"`
-	TruncatedBytes   uint64 `json:"truncated_bytes"`
-
-	// Replication fields; zero/absent on an unreplicated server.
-	ReplRole        string `json:"repl_role,omitempty"`
-	ReplFollowers   uint64 `json:"repl_followers"`
-	ReplLagRecords  uint64 `json:"repl_lag_records"`
-	ReplWatermarkNS uint64 `json:"repl_watermark_ns"`
-	ReplAppliedRecs uint64 `json:"repl_applied_records"`
-	ReplAppliedB    uint64 `json:"repl_applied_bytes"`
-
-	// Failover fields; zero/absent outside failover mode.
-	ReplEpoch      uint64 `json:"repl_epoch"`
-	Promotions     uint64 `json:"promotions"`
-	Fencings       uint64 `json:"fencings"`
-	ReplReconnects uint64 `json:"repl_reconnects"`
-	LeaderAddr     string `json:"leader_addr,omitempty"`
-
-	Clock *health.Snapshot `json:"clock_health,omitempty"`
-}
-
 // New validates cfg and builds a Server.
 func New(cfg Config) (*Server, error) {
 	if cfg.DB == nil {
@@ -354,15 +294,18 @@ func New(cfg Config) (*Server, error) {
 	s.lanes = shard.NewSet(s.cfg.Shards, func(lane int, b *shard.Batch) uint64 {
 		return s.runners[lane].exec(b)
 	})
-	if cfg.Telemetry != nil {
-		if err := cfg.Telemetry.bind(s); err != nil {
+	s.reg = telemetry.NewRegistry()
+	if t := cfg.Telemetry; t != nil {
+		if !t.bound.CompareAndSwap(false, true) {
 			s.closeLanes()
-			return nil, err
+			return nil, errors.New("server: Telemetry already bound to a Server")
 		}
+		s.reg = t.reg
 		if cfg.WAL != nil {
-			cfg.WAL.SetObserver(cfg.Telemetry.WALFlushObserver())
+			cfg.WAL.SetObserver(t.WALFlushObserver())
 		}
 	}
+	s.registerCatalogue()
 	return s, nil
 }
 
@@ -559,80 +502,26 @@ func (s *Server) stopWAL() {
 	}
 }
 
-// Snapshot returns the server's counter snapshot, including the attached
-// Monitor's clock-health snapshot when one is configured.
-func (s *Server) Snapshot() Snapshot {
-	m := &s.m
-	snap := Snapshot{
-		Protocol:       s.cfg.DB.Protocol().String(),
-		ConnsTotal:     m.connsTotal.Load(),
-		ConnsActive:    m.connsActive.Load(),
-		Gets:           m.gets.Load(),
-		Puts:           m.puts.Load(),
-		Inserts:        m.inserts.Load(),
-		Deletes:        m.deletes.Load(),
-		Txns:           m.txns.Load(),
-		TxnOps:         m.txnOps.Load(),
-		StatsOps:       m.statsOps.Load(),
-		Batches:        m.batches.Load(),
-		BatchedOps:     m.batchedOps.Load(),
-		Shards:         s.cfg.Shards,
-		CrossTxns:      m.crossTxns.Load(),
-		CrossReads:     m.crossReads.Load(),
-		CrossRetries:   m.crossRetries.Load(),
-		CrossNotYet:    m.crossNotYet.Load(),
-		Busy:           m.busy.Load(),
-		Degraded:       m.degraded.Load(),
-		ProtoErrs:      m.protoErrs.Load(),
-		Evictions:      m.evictions.Load(),
-		Panics:         m.panics.Load(),
-		Commits:        m.commits.Load(),
-		Aborts:         m.aborts.Load(),
-		ClockCmps:      m.clockCmps.Load(),
-		ClockUncertain: m.clockUncertain.Load(),
-	}
-	if snap.Batches > 0 {
-		snap.AvgBatch = float64(snap.BatchedOps) / float64(snap.Batches)
-	}
-	if snap.ClockCmps > 0 {
-		snap.UncertainRate = float64(snap.ClockUncertain) / float64(snap.ClockCmps)
-	}
-	snap.WALFlushes = m.walFlushes.Load()
-	snap.WALRecords = m.walRecords.Load()
-	snap.WALDeviceErrors = m.walDeviceErrors.Load()
-	snap.WALUnackedWrites = m.walUnackedWrites.Load()
-	if s.gc != nil {
-		snap.WALSyncNsP99 = s.gc.syncP99()
-	}
-	if r := s.cfg.Recovery; r != nil {
-		snap.RecoveredRecords = uint64(r.Records)
-		snap.TruncatedBytes = uint64(r.TruncatedBytes)
-	}
-	if st := s.cfg.Repl; st != nil {
-		snap.ReplRole = st.Role().String()
-		snap.ReplFollowers = uint64(st.Followers())
-		snap.ReplLagRecords = st.Lag()
-		snap.ReplWatermarkNS = st.WatermarkNS()
-		snap.ReplAppliedRecs = st.AppliedRecords()
-		snap.ReplAppliedB = st.AppliedBytes()
-		snap.ReplEpoch = st.Epoch()
-		snap.Promotions = st.Promotions()
-		snap.Fencings = st.Fencings()
-		snap.ReplReconnects = st.Reconnects()
-		snap.LeaderAddr = st.LeaderAddr()
-	}
-	if s.cfg.Monitor != nil {
-		clock := s.cfg.Monitor.Snapshot()
-		snap.Clock = &clock
-	}
-	return snap
-}
+// Catalogue reads every ordod_* integer series — the server's whole
+// counter and gauge catalogue, registered once in registerCatalogue — in
+// registration order. STATS, /varz and ordod's drain document all render
+// from it, and /metrics renders the same registry, so no copy of a counter
+// exists that could drift from the others.
+func (s *Server) Catalogue() []telemetry.Sample { return s.reg.Uints("ordod_") }
 
-// Expvar adapts the Server to the expvar interface; publish it with
-// expvar.Publish("ordod", srv.Expvar()) to expose the snapshot on
-// /debug/vars alongside ordo.health.
-func (s *Server) Expvar() expvar.Func {
-	return expvar.Func(func() any { return s.Snapshot() })
+// Varz is the catalogue as one JSON document: every series name mapped to
+// its value, plus "protocol" and, when a Monitor is attached, its
+// clock-health snapshot under "clock_health". The admin /varz endpoint
+// serves it and ordod writes it as its -health-json drain document.
+func (s *Server) Varz() map[string]any {
+	doc := map[string]any{"protocol": s.cfg.DB.Protocol().String()}
+	for _, smp := range s.Catalogue() {
+		doc[smp.Series] = smp.Value
+	}
+	if m := s.cfg.Monitor; m != nil {
+		doc["clock_health"] = m.Snapshot()
+	}
+	return doc
 }
 
 // validateOp pre-checks one simple op against the configured schema.

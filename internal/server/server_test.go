@@ -145,6 +145,16 @@ func startServer(t *testing.T, cfg Config) (*testServer, func()) {
 	return &testServer{srv: srv, c: wire.NewConn(nc), addr: ln.Addr().String()}, cleanup
 }
 
+// counters reads the server's catalogue once, by series name, so one
+// assertion block sees a single consistent read.
+func counters(s *Server) map[string]uint64 {
+	out := make(map[string]uint64)
+	for _, smp := range s.Catalogue() {
+		out[smp.Series] = smp.Value
+	}
+	return out
+}
+
 func newYCSBServer(t *testing.T, p db.Protocol) Config {
 	t.Helper()
 	engine, err := db.New(p, ycsb.Schema(), nil)
@@ -240,12 +250,12 @@ func TestPipelinedBatchIsOneTransaction(t *testing.T) {
 	if resps[1].Row[0] != 1 || resps[3].Row[0] != 2 {
 		t.Fatalf("reads did not observe in-batch writes: %v, %v", resps[1].Row, resps[3].Row)
 	}
-	snap := srv.Snapshot()
-	if snap.Batches != 1 || snap.BatchedOps != 4 {
-		t.Fatalf("batches=%d batchedOps=%d, want 1/4 (pipeline must fold into one txn)", snap.Batches, snap.BatchedOps)
+	snap := counters(srv)
+	if snap["ordod_batches_total"] != 1 || snap["ordod_batched_ops_total"] != 4 {
+		t.Fatalf("batches=%d batchedOps=%d, want 1/4 (pipeline must fold into one txn)", snap["ordod_batches_total"], snap["ordod_batched_ops_total"])
 	}
-	if snap.Commits != 1 {
-		t.Fatalf("commits=%d, want 1", snap.Commits)
+	if snap["ordod_commits_total"] != 1 {
+		t.Fatalf("commits=%d, want 1", snap["ordod_commits_total"])
 	}
 }
 
@@ -356,8 +366,8 @@ func TestConflictRetry(t *testing.T) {
 	if resp.Status != wire.StatusOK || resp.Row[0] != 40 {
 		t.Fatalf("retried op: %+v", resp)
 	}
-	if snap := srv.Snapshot(); snap.Aborts != 3 {
-		t.Fatalf("aborts=%d, want 3", snap.Aborts)
+	if snap := counters(srv); snap["ordod_aborts_total"] != 3 {
+		t.Fatalf("aborts=%d, want 3", snap["ordod_aborts_total"])
 	}
 
 	f.mu.Lock()
@@ -427,8 +437,8 @@ func TestBusyShedding(t *testing.T) {
 	if executed != len(ok) {
 		t.Fatalf("engine executed %d ops but %d OK responses", executed, len(ok))
 	}
-	if snap := srv.Snapshot(); snap.Busy != uint64(len(busy)) {
-		t.Fatalf("snapshot busy=%d, want %d", snap.Busy, len(busy))
+	if snap := counters(srv); snap["ordod_busy_total"] != uint64(len(busy)) {
+		t.Fatalf("snapshot busy=%d, want %d", snap["ordod_busy_total"], len(busy))
 	}
 }
 
@@ -521,7 +531,7 @@ func TestProtocolErrorAnswersThenCloses(t *testing.T) {
 		t.Fatalf("connection must close after protocol error, got %v", err)
 	}
 	_ = c // keep the main connection open through the test
-	if snap := srv.Snapshot(); snap.ProtoErrs == 0 {
+	if snap := counters(srv); snap["ordod_protocol_errors_total"] == 0 {
 		t.Fatal("protocol error not counted")
 	}
 }

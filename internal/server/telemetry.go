@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"sync/atomic"
@@ -46,12 +45,12 @@ func opClassOf(op wire.Op) int {
 // DefaultSlowOp is the slow-op trace threshold when Telemetry has none.
 const DefaultSlowOp = 10 * time.Millisecond
 
-// Telemetry is the server's hook into a metrics registry and event tracer.
-// Construct one with NewTelemetry, put it in Config.Telemetry, and New
-// binds the server's counters to it; histograms record through per-conn
-// shards so the hot path never contends with a scrape (DESIGN.md §11).
-// One Telemetry serves exactly one Server — series names would collide
-// otherwise.
+// Telemetry is the server's latency histograms, event tracer and span
+// capture. Construct one with NewTelemetry and put it in Config.Telemetry;
+// New then registers the counter catalogue into the same registry, so one
+// scrape shows both. Histograms record through per-conn shards so the hot
+// path never contends with a scrape (DESIGN.md §11). One Telemetry serves
+// exactly one Server — series names would collide otherwise.
 type Telemetry struct {
 	reg    *telemetry.Registry
 	tracer *telemetry.Tracer
@@ -164,17 +163,17 @@ func (t *Telemetry) Registry() *telemetry.Registry { return t.reg }
 // Tracer returns the event tracer; nil when tracing is off.
 func (t *Telemetry) Tracer() *telemetry.Tracer { return t.tracer }
 
-// bind registers the server's counters and gauges. CounterFuncs pull the
-// existing atomics at scrape time, so instrumented and plain servers share
-// one metrics struct and the hot path pays nothing extra.
-func (t *Telemetry) bind(s *Server) error {
-	if !t.bound.CompareAndSwap(false, true) {
-		return errors.New("server: Telemetry already bound to a Server")
-	}
-	reg, m := t.reg, &s.m
+// registerCatalogue registers the server's whole counter and gauge
+// catalogue: this list is the only place a counter is exported, and
+// /metrics, /varz, ordod's drain document and STATS all read it (Server.
+// Catalogue). The funcs pull the existing atomics at read time, so the hot
+// path pays nothing for being observable. Every series is an integer one —
+// counters and GaugeUintFunc gauges — so STATS carries exact values.
+func (s *Server) registerCatalogue() {
+	reg, m := s.reg, &s.m
 	reg.CounterFunc("ordod_conns_total", "Connections accepted.", m.connsTotal.Load)
-	reg.GaugeFunc("ordod_conns_active", "Connections currently open.",
-		func() float64 { return float64(m.connsActive.Load()) })
+	reg.GaugeUintFunc("ordod_conns_active", "Connections currently open.",
+		func() uint64 { return uint64(m.connsActive.Load()) })
 
 	ops := []struct {
 		name string
@@ -195,18 +194,17 @@ func (t *Telemetry) bind(s *Server) error {
 	// Shard-lane observability: one series per lane so imbalance — a hot
 	// partition starving its neighbors — shows up directly on a scrape, plus
 	// the cross-shard coordination counters.
-	reg.GaugeFunc("ordod_shards", "Configured single-writer partition lanes.",
-		func() float64 { return float64(s.cfg.Shards) })
+	reg.GaugeUintFunc("ordod_shards", "Configured single-writer partition lanes.",
+		func() uint64 { return uint64(s.cfg.Shards) })
 	for i := 0; i < s.lanes.N(); i++ {
 		ln := s.lanes.Lane(i)
 		lbl := telemetry.L("shard", strconv.Itoa(i))
 		reg.CounterFunc("ordod_shard_batches_total", "Batches executed by this lane.", ln.Batches, lbl)
 		reg.CounterFunc("ordod_shard_ops_total", "Ops executed by this lane.", ln.Ops, lbl)
 		reg.CounterFunc("ordod_shard_holds_total", "Cross-shard coordination barriers this lane parked for.", ln.Holds, lbl)
-		reg.GaugeFunc("ordod_shard_commit_ts", "Latest commit timestamp this lane published.",
-			func() float64 { return float64(ln.Published()) }, lbl)
-		reg.GaugeFunc("ordod_shard_queue_depth", "Batches queued in this lane's rings.",
-			func() float64 { return float64(ln.Queued()) }, lbl)
+		reg.GaugeUintFunc("ordod_shard_commit_ts", "Latest commit timestamp this lane published.", ln.Published, lbl)
+		reg.GaugeUintFunc("ordod_shard_queue_depth", "Batches queued in this lane's rings.",
+			func() uint64 { return uint64(ln.Queued()) }, lbl)
 	}
 	reg.CounterFunc("ordod_cross_shard_txns_total", "Write TXNs that spanned lanes (coordinator path).", m.crossTxns.Load)
 	reg.CounterFunc("ordod_cross_shard_reads_total", "Read-only TXNs merged across lanes with cmp_time.", m.crossReads.Load)
@@ -229,47 +227,41 @@ func (t *Telemetry) bind(s *Server) error {
 	reg.CounterFunc("ordod_wal_unacked_writes_total",
 		"Writes committed in memory but answered ERR because the log failed (DESIGN.md §10).",
 		m.walUnackedWrites.Load)
-	reg.GaugeFunc("ordod_degraded", "1 when the WAL device has failed and the server serves reads only.",
-		func() float64 {
+	if t := s.cfg.Telemetry; t != nil {
+		reg.GaugeUintFunc("ordod_wal_flush_p99_ns", "p99 of ordod_wal_flush_seconds, in nanoseconds.",
+			func() uint64 { return t.walFlush.Quantile(0.99) })
+	}
+	reg.GaugeUintFunc("ordod_degraded", "1 when the WAL device has failed and the server serves reads only.",
+		func() uint64 {
 			if s.Degraded() {
 				return 1
 			}
 			return 0
 		})
-	reg.GaugeFunc("ordod_recovered_records", "Redo records replayed at startup.",
-		func() float64 {
-			if r := s.cfg.Recovery; r != nil {
-				return float64(r.Records)
-			}
-			return 0
-		})
-	reg.GaugeFunc("ordod_recovery_truncated_bytes", "Torn bytes truncated from the log at startup.",
-		func() float64 {
-			if r := s.cfg.Recovery; r != nil {
-				return float64(r.TruncatedBytes)
-			}
-			return 0
-		})
+	var recovered, truncated uint64
+	if r := s.cfg.Recovery; r != nil {
+		recovered, truncated = uint64(r.Records), uint64(r.TruncatedBytes)
+	}
+	reg.GaugeUintFunc("ordod_recovered_records", "Redo records replayed at startup.",
+		func() uint64 { return recovered })
+	reg.GaugeUintFunc("ordod_recovery_truncated_bytes", "Torn bytes truncated from the log at startup.",
+		func() uint64 { return truncated })
 	if rs := s.cfg.Repl; rs != nil {
-		reg.GaugeFunc("ordod_repl_followers", "Followers currently subscribed (leader).",
-			func() float64 { return float64(rs.Followers()) })
-		reg.GaugeFunc("ordod_repl_lag_records", "Replication lag in redo records (worst follower on a leader; own lag on a follower).",
-			func() float64 { return float64(rs.Lag()) })
-		reg.GaugeFunc("ordod_repl_watermark_ns", "Safe-read watermark in clock nanoseconds (follower).",
-			func() float64 { return float64(rs.WatermarkNS()) })
+		reg.GaugeUintFunc("ordod_repl_followers", "Followers currently subscribed (leader).",
+			func() uint64 { return uint64(rs.Followers()) })
+		reg.GaugeUintFunc("ordod_repl_lag_records", "Replication lag in redo records (worst follower on a leader; own lag on a follower).", rs.Lag)
+		reg.GaugeUintFunc("ordod_repl_watermark_ns", "Safe-read watermark in clock nanoseconds (follower).", rs.WatermarkNS)
 		reg.CounterFunc("ordod_repl_applied_records_total", "Redo records applied from the leader stream (follower).",
 			rs.AppliedRecords)
 		reg.CounterFunc("ordod_repl_applied_bytes_total", "Redo bytes applied from the leader stream (follower).",
 			rs.AppliedBytes)
-		reg.GaugeFunc("ordod_epoch", "Fencing epoch this node serves under.",
-			func() float64 { return float64(rs.Epoch()) })
-		reg.GaugeFunc("ordod_repl_role", "Replication role: 0 none, 1 leader, 2 follower.",
-			func() float64 { return float64(rs.Role()) })
+		reg.GaugeUintFunc("ordod_epoch", "Fencing epoch this node serves under.", rs.Epoch)
+		reg.GaugeUintFunc("ordod_repl_role", "Replication role: 0 none, 1 leader, 2 follower.",
+			func() uint64 { return uint64(rs.Role()) })
 		reg.CounterFunc("ordod_promotions_total", "Leadership takeovers this process performed.", rs.Promotions)
 		reg.CounterFunc("ordod_fencings_total", "Stale-epoch frames or peers rejected.", rs.Fencings)
 		reg.CounterFunc("ordod_repl_reconnects_total", "Follower reconnect attempts to the leader.", rs.Reconnects)
 	}
-	return nil
 }
 
 // walFlushObs adapts Telemetry to wal.FlushObserver. It is called with the

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"ordo/internal/db"
-	"ordo/internal/hist"
 	"ordo/internal/telemetry/span"
 	"ordo/internal/wal"
 	"ordo/internal/wire"
@@ -94,12 +93,6 @@ type groupCommitter struct {
 
 	done      chan struct{}
 	closeOnce sync.Once
-
-	// syncHist records non-empty flush durations (append-to-durable,
-	// dominated by fsync) for the wal_sync_ns_p99 stat. Its own lock keeps
-	// Snapshot() off the commit path's mutex.
-	histMu   sync.Mutex
-	syncHist hist.H
 }
 
 func newGroupCommitter(s *Server, log *wal.Log) *groupCommitter {
@@ -271,9 +264,6 @@ func (gc *groupCommitter) flushOnce() {
 		if delta := gc.log.Flushed() - before; delta > 0 {
 			gc.srv.m.walFlushes.Add(1)
 			gc.srv.m.walRecords.Add(delta)
-			gc.histMu.Lock()
-			gc.syncHist.RecordDuration(elapsed)
-			gc.histMu.Unlock()
 		}
 	}
 
@@ -319,16 +309,6 @@ func (gc *groupCommitter) flushOnce() {
 			}
 		}
 	}
-}
-
-// syncP99 returns the p99 of non-empty flush durations in nanoseconds.
-func (gc *groupCommitter) syncP99() uint64 {
-	gc.histMu.Lock()
-	defer gc.histMu.Unlock()
-	if gc.syncHist.Count() == 0 {
-		return 0
-	}
-	return gc.syncHist.Quantile(0.99)
 }
 
 // closeAndWait forces a final flush and stops the flusher. Call it only

@@ -81,6 +81,7 @@ func durableConfig(t *testing.T, dir string) (Config, *wal.FileDevice) {
 func TestDurableServeRecoverReplay(t *testing.T) {
 	dir := t.TempDir()
 	cfg, dev := durableConfig(t, dir)
+	cfg.Telemetry = NewTelemetry(nil, nil, 0) // records the flush histogram behind ordod_wal_flush_p99_ns
 	ts, cleanup := startServer(t, cfg)
 	c := ts.c
 
@@ -125,15 +126,15 @@ func TestDurableServeRecoverReplay(t *testing.T) {
 		}
 	}
 
-	snap := ts.srv.Snapshot()
-	if snap.WALRecords == 0 || snap.WALFlushes == 0 {
-		t.Fatalf("wal counters not moving: flushes=%d records=%d", snap.WALFlushes, snap.WALRecords)
+	snap := counters(ts.srv)
+	if snap["ordod_wal_records_total"] == 0 || snap["ordod_wal_flushes_total"] == 0 {
+		t.Fatalf("wal counters not moving: flushes=%d records=%d", snap["ordod_wal_flushes_total"], snap["ordod_wal_records_total"])
 	}
-	if snap.WALSyncNsP99 == 0 {
-		t.Fatal("wal_sync_ns_p99 is zero with flushes recorded")
+	if snap["ordod_wal_flush_p99_ns"] == 0 {
+		t.Fatal("ordod_wal_flush_p99_ns is zero with flushes recorded")
 	}
-	if snap.WALDeviceErrors != 0 {
-		t.Fatalf("wal_device_errors=%d on a healthy device", snap.WALDeviceErrors)
+	if snap["ordod_wal_device_errors_total"] != 0 {
+		t.Fatalf("wal_device_errors=%d on a healthy device", snap["ordod_wal_device_errors_total"])
 	}
 
 	cleanup()
@@ -322,22 +323,22 @@ func TestDurableDeviceFailureDegrades(t *testing.T) {
 				t.Fatalf("degraded read-only txn: %v %v, want OK", r.Status, err)
 			}
 
-			snap := ts.srv.Snapshot()
-			if snap.WALDeviceErrors != 1 {
-				t.Fatalf("wal_device_errors=%d, want exactly 1 (sticky failure counts once)", snap.WALDeviceErrors)
+			snap := counters(ts.srv)
+			if snap["ordod_wal_device_errors_total"] != 1 {
+				t.Fatalf("wal_device_errors=%d, want exactly 1 (sticky failure counts once)", snap["ordod_wal_device_errors_total"])
 			}
 			// The refused-up-front writes never committed, so they don't count.
-			if snap.WALUnackedWrites != committed {
+			if snap["ordod_wal_unacked_writes_total"] != committed {
 				t.Fatalf("wal_unacked_writes=%d, want %d (the ERRed writes that committed but were never logged)",
-					snap.WALUnackedWrites, committed)
+					snap["ordod_wal_unacked_writes_total"], committed)
 			}
 			// STATS over the wire reports the same degradation.
 			r, err := c.Do(&wire.Request{Op: wire.OpStats})
 			if err != nil || r.Stats == nil {
 				t.Fatalf("stats: %+v %v", r, err)
 			}
-			if r.Stats.WALDeviceErrors != 1 {
-				t.Fatalf("wire wal_device_errors=%d, want 1", r.Stats.WALDeviceErrors)
+			if n := r.Stats.Value("ordod_wal_device_errors_total"); n != 1 {
+				t.Fatalf("wire wal_device_errors=%d, want 1", n)
 			}
 		})
 	}
@@ -360,6 +361,11 @@ func TestDurableDeviceFailureDegrades(t *testing.T) {
 						t.Fatalf("write %d: TXN sub-response carries token %d", i, sub.TS)
 					}
 				}
+			}
+			// Durable locally: nothing was lost to the log, so nothing
+			// counts as committed-but-unlogged.
+			if n := counters(ts.srv)["ordod_wal_unacked_writes_total"]; n != 0 {
+				t.Fatalf("wal_unacked_writes=%d after replication-ack timeouts, want 0", n)
 			}
 		})
 	}
@@ -556,7 +562,7 @@ func TestAppendFailureErasesOnlyItsRecord(t *testing.T) {
 	if resps[1].Status != wire.StatusErr || resps[1].TS != 0 {
 		t.Fatalf("unlogged write answered %v ts=%d, want ERR without a token", resps[1].Status, resps[1].TS)
 	}
-	if n := srv.Snapshot().WALUnackedWrites; n != 1 {
+	if n := counters(srv)["ordod_wal_unacked_writes_total"]; n != 1 {
 		t.Fatalf("wal_unacked_writes=%d, want 1 (lane 1's write only)", n)
 	}
 	lane0.wh.Close()

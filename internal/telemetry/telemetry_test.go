@@ -109,6 +109,35 @@ func TestCountersAndGauges(t *testing.T) {
 	}
 }
 
+// TestUints checks the integer-series read: counters and GaugeUintFunc
+// gauges only, prefix-filtered, in registration order, with exact values
+// that /metrics renders identically.
+func TestUints(t *testing.T) {
+	r := NewRegistry()
+	big := uint64(1<<63 + 1) // past float64's exact range
+	c := r.Counter("app_ops_total", "ops", L("op", "get"))
+	r.GaugeFunc("app_rate", "a float gauge", func() float64 { return 0.5 })
+	r.GaugeUintFunc("app_ts", "an integer gauge", func() uint64 { return big })
+	r.Histogram("app_latency_seconds", "a histogram", 1e9).NewShard().Observe(5)
+	r.CounterFunc("other_total", "outside the prefix", func() uint64 { return 1 })
+	c.Add(2)
+
+	got := r.Uints("app_")
+	want := []Sample{{`app_ops_total{op="get"}`, 2}, {"app_ts", big}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Uints = %v, want %v", got, want)
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range want {
+		if line := s.Series + " " + strconv.FormatUint(s.Value, 10) + "\n"; !strings.Contains(b.String(), line) {
+			t.Errorf("/metrics lacks %q", line)
+		}
+	}
+}
+
 func TestHistogramExposition(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("test_latency_seconds", "op latency", 1e9, L("op", "get"))

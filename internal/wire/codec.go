@@ -42,6 +42,32 @@ func count(b []byte, limit int, what string) (int, []byte, error) {
 	return int(v), rest, nil
 }
 
+// appendString appends s as its byte length followed by its bytes,
+// refusing a string longer than limit.
+func appendString(dst []byte, s string, limit int, what string) ([]byte, error) {
+	if len(s) > limit {
+		return nil, fmt.Errorf("wire: %s %d bytes, limit %d", what, len(s), limit)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...), nil
+}
+
+// blob decodes a length-prefixed byte string of at most limit bytes; the
+// result aliases b.
+func blob(b []byte, limit int, what string) ([]byte, []byte, error) {
+	n, rest, err := count(b, limit, what+" byte")
+	if err != nil {
+		return nil, nil, err
+	}
+	return rest[:n:n], rest[n:], nil
+}
+
+// str is blob copied into a string, so it never aliases b.
+func str(b []byte, limit int, what string) (string, []byte, error) {
+	s, rest, err := blob(b, limit, what)
+	return string(s), rest, err
+}
+
 // appendRow appends a row as ncols followed by each column.
 func appendRow(dst []byte, vals []uint64) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(vals)))
@@ -174,17 +200,9 @@ func decodeRequest(b []byte, inTxn bool, a *Arena) (Request, []byte, error) {
 	}
 	switch r.Op {
 	case OpGet, OpPut, OpInsert, OpDelete:
-		table, rest, err := uvarint(b)
+		rest, err := r.tableKey(b)
 		if err != nil {
-			return r, nil, fmt.Errorf("%v table: %w", r.Op, err)
-		}
-		if table > 1<<31 {
-			return r, nil, fmt.Errorf("wire: %v table id %d out of range", r.Op, table)
-		}
-		r.Table = uint32(table)
-		r.Key, rest, err = uvarint(rest)
-		if err != nil {
-			return r, nil, fmt.Errorf("%v key: %w", r.Op, err)
+			return r, nil, err
 		}
 		if r.Op == OpPut || r.Op == OpInsert {
 			r.Vals, rest, err = row(rest, a)
@@ -222,17 +240,9 @@ func decodeRequest(b []byte, inTxn bool, a *Arena) (Request, []byte, error) {
 		if inTxn {
 			return r, nil, errors.New("wire: GET_AT inside TXN")
 		}
-		table, rest, err := uvarint(b)
+		rest, err := r.tableKey(b)
 		if err != nil {
-			return r, nil, fmt.Errorf("%v table: %w", r.Op, err)
-		}
-		if table > 1<<31 {
-			return r, nil, fmt.Errorf("wire: %v table id %d out of range", r.Op, table)
-		}
-		r.Table = uint32(table)
-		r.Key, rest, err = uvarint(rest)
-		if err != nil {
-			return r, nil, fmt.Errorf("%v key: %w", r.Op, err)
+			return r, nil, err
 		}
 		r.MinTS, rest, err = uvarint(rest)
 		if err != nil {
@@ -241,6 +251,22 @@ func decodeRequest(b []byte, inTxn bool, a *Arena) (Request, []byte, error) {
 		return r, rest, nil
 	}
 	return r, nil, fmt.Errorf("wire: unknown opcode %d", byte(r.Op))
+}
+
+// tableKey decodes the table id and key every keyed request starts with.
+func (r *Request) tableKey(b []byte) ([]byte, error) {
+	table, rest, err := uvarint(b)
+	if err != nil {
+		return nil, fmt.Errorf("%v table: %w", r.Op, err)
+	}
+	if table > 1<<31 {
+		return nil, fmt.Errorf("wire: %v table id %d out of range", r.Op, table)
+	}
+	r.Table = uint32(table)
+	if r.Key, rest, err = uvarint(rest); err != nil {
+		return nil, fmt.Errorf("%v key: %w", r.Op, err)
+	}
+	return rest, nil
 }
 
 // AppendResponse appends r's payload encoding to dst.
@@ -253,11 +279,7 @@ func AppendResponse(dst []byte, r *Response) ([]byte, error) {
 		// gating on it keeps every other RespEmpty encoding byte-identical
 		// to the pre-failover protocol.
 		if r.Status == StatusNotLeader {
-			if len(r.Redirect) > MaxAddr {
-				return nil, fmt.Errorf("wire: redirect %d bytes, limit %d", len(r.Redirect), MaxAddr)
-			}
-			dst = binary.AppendUvarint(dst, uint64(len(r.Redirect)))
-			dst = append(dst, r.Redirect...)
+			return appendString(dst, r.Redirect, MaxAddr, "redirect")
 		}
 	case RespRow:
 		if len(r.Row) > MaxCols {
@@ -284,21 +306,19 @@ func AppendResponse(dst []byte, r *Response) ([]byte, error) {
 			return nil, errors.New("wire: STATS response without stats body")
 		}
 		s := r.Stats
-		if len(s.Protocol) > MaxProtoName {
-			return nil, fmt.Errorf("wire: protocol name %d bytes, limit %d", len(s.Protocol), MaxProtoName)
+		if len(s.Pairs) > MaxStats {
+			return nil, fmt.Errorf("wire: STATS has %d series, limit %d", len(s.Pairs), MaxStats)
 		}
-		dst = binary.AppendUvarint(dst, uint64(len(s.Protocol)))
-		dst = append(dst, s.Protocol...)
-		for _, v := range [...]uint64{
-			s.Commits, s.Aborts, s.Batches, s.BatchedOps,
-			s.Busy, s.Degraded, s.ClockCmps, s.ClockUncertain,
-			s.WALFlushes, s.WALRecords, s.WALSyncNsP99, s.WALDeviceErrors,
-			s.WALUnackedWrites, s.RecoveredRecords, s.TruncatedBytes,
-			s.ReplFollowers, s.ReplLagRecords, s.ReplWatermarkNS,
-			s.ReplEpoch, s.ReplRoleCode, s.Promotions, s.Fencings,
-			s.ReplReconnects,
-		} {
-			dst = binary.AppendUvarint(dst, v)
+		var err error
+		if dst, err = appendString(dst, s.Protocol, MaxProtoName, "protocol name"); err != nil {
+			return nil, err
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(s.Pairs)))
+		for _, p := range s.Pairs {
+			if dst, err = appendString(dst, p.Name, MaxStatName, "series name"); err != nil {
+				return nil, err
+			}
+			dst = binary.AppendUvarint(dst, p.Value)
 		}
 	default:
 		return nil, fmt.Errorf("wire: cannot encode %v", r.Kind)
@@ -378,27 +398,27 @@ func decodeResponse(b []byte, inBatch bool) (Response, []byte, error) {
 		}
 		return r, rest, nil
 	case RespStats:
-		n, rest, err := count(b, MaxProtoName, "protocol name byte")
+		proto, rest, err := str(b, MaxProtoName, "protocol name")
 		if err != nil {
 			return r, nil, err
 		}
-		s := &Stats{Protocol: string(rest[:n])}
-		rest = rest[n:]
-		for _, field := range [...]*uint64{
-			&s.Commits, &s.Aborts, &s.Batches, &s.BatchedOps,
-			&s.Busy, &s.Degraded, &s.ClockCmps, &s.ClockUncertain,
-			&s.WALFlushes, &s.WALRecords, &s.WALSyncNsP99, &s.WALDeviceErrors,
-			&s.WALUnackedWrites, &s.RecoveredRecords, &s.TruncatedBytes,
-			&s.ReplFollowers, &s.ReplLagRecords, &s.ReplWatermarkNS,
-			&s.ReplEpoch, &s.ReplRoleCode, &s.Promotions, &s.Fencings,
-			&s.ReplReconnects,
-		} {
-			*field, rest, err = uvarint(rest)
-			if err != nil {
-				return r, nil, fmt.Errorf("stats field: %w", err)
+		n, rest, err := count(rest, MaxStats, "STATS series")
+		if err != nil {
+			return r, nil, err
+		}
+		var pairs []Stat
+		if n > 0 {
+			pairs = make([]Stat, n)
+		}
+		for i := range pairs {
+			if pairs[i].Name, rest, err = str(rest, MaxStatName, "series name"); err != nil {
+				return r, nil, fmt.Errorf("STATS series %d: %w", i, err)
+			}
+			if pairs[i].Value, rest, err = uvarint(rest); err != nil {
+				return r, nil, fmt.Errorf("STATS series %d value: %w", i, err)
 			}
 		}
-		r.Stats = s
+		r.Stats = NewStats(proto, pairs)
 		return r, rest, nil
 	}
 	return r, nil, fmt.Errorf("wire: unknown response kind %d", byte(r.Kind))

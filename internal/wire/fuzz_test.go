@@ -42,15 +42,13 @@ func seedPayloads(t interface{ Fatal(...any) }) [][]byte {
 			{Kind: RespRow, Status: StatusOK, Row: []uint64{3}},
 			{Kind: RespEmpty, Status: StatusNotFound},
 		}},
-		{Kind: RespStats, Status: StatusOK, Stats: &Stats{
-			Protocol: "OCC_ORDO", Commits: 10, Aborts: 1, Batches: 4,
-			BatchedOps: 20, Busy: 2, Degraded: 3, ClockCmps: 30, ClockUncertain: 1,
-			WALFlushes: 5, WALRecords: 12, WALSyncNsP99: 40000, WALDeviceErrors: 1,
-			WALUnackedWrites: 2, RecoveredRecords: 7, TruncatedBytes: 128,
-			ReplFollowers: 2, ReplLagRecords: 15, ReplWatermarkNS: 1 << 33,
-			ReplEpoch: 3, ReplRoleCode: 1, Promotions: 1, Fencings: 2,
-			ReplReconnects: 4,
-		}},
+		{Kind: RespStats, Status: StatusOK, Stats: NewStats("OCC_ORDO", []Stat{
+			{"ordod_commits_total", 10}, {"ordod_aborts_total", 1},
+			{`ordod_ops_total{op="get"}`, 20}, {"ordod_conns_active", 0},
+			{"ordod_clock_uncertain_total", 1}, {"ordod_repl_role", 1},
+			{`ordod_shard_commit_ts{shard="0"}`, 1<<63 + 5},
+		})},
+		{Kind: RespStats, Status: StatusOK, Stats: NewStats("OCC", nil)},
 	}
 	var out [][]byte
 	for i := range reqs {

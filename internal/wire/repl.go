@@ -165,14 +165,10 @@ func AppendReplMsg(dst []byte, m *ReplMsg) ([]byte, error) {
 		dst = binary.AppendUvarint(dst, m.HorizonTS)
 		dst = binary.AppendUvarint(dst, m.BoundaryTicks)
 	case ReplStatus, ReplReject:
-		if len(m.Addr) > MaxAddr {
-			return nil, fmt.Errorf("wire: %v addr %d bytes, limit %d", m.Kind, len(m.Addr), MaxAddr)
-		}
 		dst = binary.AppendUvarint(dst, m.Role)
 		dst = binary.AppendUvarint(dst, m.PrevInc)
 		dst = binary.AppendUvarint(dst, m.PrevSeq)
-		dst = binary.AppendUvarint(dst, uint64(len(m.Addr)))
-		dst = append(dst, m.Addr...)
+		return appendString(dst, m.Addr, MaxAddr, "status addr")
 	default:
 		return nil, fmt.Errorf("wire: cannot encode %v", m.Kind)
 	}
@@ -229,15 +225,9 @@ func DecodeReplMsg(b []byte) (ReplMsg, error) {
 			if rec.Trace, b, err = uvarint(b); err != nil {
 				return m, fmt.Errorf("record %d trace: %w", i, err)
 			}
-			var sz uint64
-			if sz, b, err = uvarint(b); err != nil {
-				return m, fmt.Errorf("record %d data len: %w", i, err)
+			if rec.Data, b, err = blob(b, MaxFrame, "data"); err != nil {
+				return m, fmt.Errorf("record %d: %w", i, err)
 			}
-			if sz > uint64(len(b)) {
-				return m, fmt.Errorf("record %d data %d bytes beyond payload: %w", i, sz, ErrTruncated)
-			}
-			rec.Data = b[:sz:sz]
-			b = b[sz:]
 		}
 	case ReplWatermark:
 		if m.HorizonTS, b, err = uvarint(b); err != nil {
@@ -256,18 +246,9 @@ func DecodeReplMsg(b []byte) (ReplMsg, error) {
 		if m.PrevSeq, b, err = uvarint(b); err != nil {
 			return m, fmt.Errorf("status prev seq: %w", err)
 		}
-		var sz uint64
-		if sz, b, err = uvarint(b); err != nil {
-			return m, fmt.Errorf("status addr len: %w", err)
+		if m.Addr, b, err = str(b, MaxAddr, "status addr"); err != nil {
+			return m, err
 		}
-		if sz > MaxAddr {
-			return m, fmt.Errorf("wire: %v addr %d bytes, limit %d", m.Kind, sz, MaxAddr)
-		}
-		if sz > uint64(len(b)) {
-			return m, fmt.Errorf("status addr %d bytes beyond payload: %w", sz, ErrTruncated)
-		}
-		m.Addr = string(b[:sz])
-		b = b[sz:]
 	default:
 		return m, fmt.Errorf("wire: unknown repl kind %d", byte(m.Kind))
 	}

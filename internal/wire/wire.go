@@ -37,6 +37,10 @@ const (
 	MaxTxnOps = 1 << 14
 	// MaxProtoName bounds the protocol-name string in a STATS response.
 	MaxProtoName = 64
+	// MaxStats bounds the series of one STATS response, and MaxStatName
+	// each series name. A 64-lane server registers about 400 series.
+	MaxStats    = 1 << 10
+	MaxStatName = 128
 	// MaxAddr bounds the redirect/leader address strings carried by
 	// NOT_LEADER responses and replication status frames.
 	MaxAddr = 256
@@ -311,48 +315,72 @@ type Response struct {
 	Redirect string
 }
 
-// Stats is the server counter snapshot carried by a STATS response. Fields
-// mirror server metrics; clock counters are the engine sessions' timestamp
-// comparisons and how many fell inside the Ordo uncertainty window.
-// Degraded counts runs that failed as one batched transaction and fell
-// back to per-op transactions for status attribution. The WAL fields are
-// zero on a server running without durability; RecoveredRecords and
-// TruncatedBytes describe the startup recovery that seeded the engine.
+// Stats is the server counter catalogue carried by a STATS response: the
+// engine protocol's name and every integer series the server registers,
+// as (series name, exact value) pairs in the server's registration order —
+// the same names and values its /metrics endpoint renders. Value looks up
+// any series by name; a series the server does not register (the WAL
+// series of a non-durable server, the replication series of an
+// unreplicated one) reads 0.
+//
+// The typed fields are views of the series clients read most, filled from
+// Pairs by NewStats (statFields names their series); encoding writes only
+// Protocol and Pairs.
 type Stats struct {
-	Protocol         string `json:"protocol"`
-	Commits          uint64 `json:"commits"`
-	Aborts           uint64 `json:"aborts"`
-	Batches          uint64 `json:"batches"`
-	BatchedOps       uint64 `json:"batched_ops"`
-	Busy             uint64 `json:"busy_shed"`
-	Degraded         uint64 `json:"degraded"`
-	ClockCmps        uint64 `json:"clock_cmps"`
-	ClockUncertain   uint64 `json:"clock_uncertain"`
-	WALFlushes       uint64 `json:"wal_flushes"`
-	WALRecords       uint64 `json:"wal_records"`
-	WALSyncNsP99     uint64 `json:"wal_sync_ns_p99"`
-	WALDeviceErrors  uint64 `json:"wal_device_errors"`
-	WALUnackedWrites uint64 `json:"wal_unacked_writes"`
-	RecoveredRecords uint64 `json:"recovered_records"`
-	TruncatedBytes   uint64 `json:"truncated_bytes"`
-	// Replication fields. On a leader, ReplFollowers is the number of
-	// subscribed followers and ReplLagRecords the worst follower's
-	// acknowledged lag; on a follower, ReplLagRecords is its own apply lag
-	// behind the leader's advertised tail and ReplWatermarkNS the safe-read
-	// watermark converted to nanoseconds. Zero on an unreplicated server.
-	ReplFollowers   uint64 `json:"repl_followers"`
-	ReplLagRecords  uint64 `json:"repl_lag_records"`
-	ReplWatermarkNS uint64 `json:"repl_watermark_ns"`
-	// Failover fields. ReplEpoch is the fencing epoch the node is serving
-	// under (zero before any promotion); ReplRoleCode is the numeric
-	// server.ReplRole (0 none, 1 leader, 2 follower); Promotions and
-	// Fencings count leadership transitions this process performed or
-	// rejected; ReplReconnects counts follower reconnect attempts.
-	ReplEpoch      uint64 `json:"repl_epoch"`
-	ReplRoleCode   uint64 `json:"repl_role"`
-	Promotions     uint64 `json:"promotions"`
-	Fencings       uint64 `json:"fencings"`
-	ReplReconnects uint64 `json:"repl_reconnects"`
+	Protocol string
+	Pairs    []Stat
+
+	Commits, Aborts, Batches, BatchedOps, Busy, Degraded uint64
+	ClockCmps, ClockUncertain, WALFlushes, WALRecords    uint64
+	// ReplRoleCode is the numeric server.ReplRole: 0 none, 1 leader, 2
+	// follower.
+	ReplRoleCode, ReplFollowers, Promotions, Fencings uint64
+}
+
+// Stat is one catalogue series in a STATS response.
+type Stat struct {
+	Name  string
+	Value uint64
+}
+
+// statFields maps each typed Stats field to the catalogue series it views.
+var statFields = map[string]func(*Stats) *uint64{
+	"ordod_commits_total":         func(s *Stats) *uint64 { return &s.Commits },
+	"ordod_aborts_total":          func(s *Stats) *uint64 { return &s.Aborts },
+	"ordod_batches_total":         func(s *Stats) *uint64 { return &s.Batches },
+	"ordod_batched_ops_total":     func(s *Stats) *uint64 { return &s.BatchedOps },
+	"ordod_busy_total":            func(s *Stats) *uint64 { return &s.Busy },
+	"ordod_degraded_runs_total":   func(s *Stats) *uint64 { return &s.Degraded },
+	"ordod_clock_cmps_total":      func(s *Stats) *uint64 { return &s.ClockCmps },
+	"ordod_clock_uncertain_total": func(s *Stats) *uint64 { return &s.ClockUncertain },
+	"ordod_wal_flushes_total":     func(s *Stats) *uint64 { return &s.WALFlushes },
+	"ordod_wal_records_total":     func(s *Stats) *uint64 { return &s.WALRecords },
+	"ordod_repl_role":             func(s *Stats) *uint64 { return &s.ReplRoleCode },
+	"ordod_repl_followers":        func(s *Stats) *uint64 { return &s.ReplFollowers },
+	"ordod_promotions_total":      func(s *Stats) *uint64 { return &s.Promotions },
+	"ordod_fencings_total":        func(s *Stats) *uint64 { return &s.Fencings },
+}
+
+// NewStats builds a STATS body from a catalogue, filling the typed fields.
+func NewStats(protocol string, pairs []Stat) *Stats {
+	s := &Stats{Protocol: protocol, Pairs: pairs}
+	for _, p := range pairs {
+		if field, ok := statFields[p.Name]; ok {
+			*field(s) = p.Value
+		}
+	}
+	return s
+}
+
+// Value returns the named series' value, 0 when the server did not report
+// it.
+func (s *Stats) Value(name string) uint64 {
+	for _, p := range s.Pairs {
+		if p.Name == name {
+			return p.Value
+		}
+	}
+	return 0
 }
 
 // Simple reports whether the op is a valid simple (non-composite)

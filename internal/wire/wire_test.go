@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -112,12 +113,10 @@ func TestResponseRoundTrip(t *testing.T) {
 			{Kind: RespEmpty, Status: StatusNotFound},
 			{Kind: RespEmpty, Status: StatusOK},
 		}},
-		{Kind: RespStats, Status: StatusOK, Stats: &Stats{
-			Protocol: "OCC_ORDO", Commits: 12, Aborts: 3, Batches: 5,
-			BatchedOps: 40, Busy: 1, Degraded: 4, ClockCmps: 99, ClockUncertain: 2,
-			WALUnackedWrites: 6,
-			ReplFollowers:    3, ReplLagRecords: 42, ReplWatermarkNS: 1 << 60,
-		}},
+		{Kind: RespStats, Status: StatusOK, Stats: NewStats("OCC_ORDO", []Stat{
+			{"ordod_commits_total", 12}, {"ordod_aborts_total", 3},
+			{"ordod_wal_unacked_writes_total", 6}, {"ordod_repl_watermark_ns", math.MaxUint64},
+		})},
 		{Kind: RespStats, Status: StatusOK, Stats: &Stats{}},
 	}
 	for _, r := range cases {
@@ -132,6 +131,81 @@ func TestResponseRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(normalizeResp(r), normalizeResp(got)) {
 			t.Fatalf("round trip %v:\n sent %+v\n got  %+v", r.Kind, r, got)
 		}
+	}
+}
+
+// TestStatsCodec covers the STATS body: a (series name, value) list that
+// round-trips exact uint64 values and fills the typed fields, and whose
+// pair count, name length, truncation and trailing bytes are all checked.
+func TestStatsCodec(t *testing.T) {
+	encode := func(s *Stats) ([]byte, error) {
+		return AppendResponse(nil, &Response{Kind: RespStats, Status: StatusOK, Stats: s})
+	}
+	longest := string(bytes.Repeat([]byte{'x'}, MaxStatName))
+	sent := NewStats("HEKATON_ORDO", []Stat{
+		{"ordod_commits_total", 7},
+		{"ordod_clock_cmps_total", math.MaxUint64},
+		{"ordod_clock_uncertain_total", 1<<53 + 1}, // not representable as float64
+		{`ordod_ops_total{op="get"}`, 3},
+		{"ordod_repl_role", 2},
+		{longest, 9},
+	})
+	payload, err := encode(sent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeResponse(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Stats, sent) {
+		t.Fatalf("round trip:\n sent %+v\n got  %+v", sent, got.Stats)
+	}
+	st := got.Stats
+	if st.Commits != 7 || st.ClockCmps != math.MaxUint64 || st.ClockUncertain != 1<<53+1 || st.ReplRoleCode != 2 {
+		t.Fatalf("typed fields not filled: %+v", st)
+	}
+	if st.Value(`ordod_ops_total{op="get"}`) != 3 || st.Value(longest) != 9 || st.Value("ordod_absent") != 0 {
+		t.Fatal("Value lookup wrong")
+	}
+
+	// Pair-count cap, on both sides.
+	many := make([]Stat, MaxStats+1)
+	for i := range many {
+		many[i] = Stat{Name: "s", Value: uint64(i)}
+	}
+	if _, err := encode(NewStats("OCC", many[:MaxStats])); err != nil {
+		t.Fatalf("MaxStats pairs rejected: %v", err)
+	}
+	if _, err := encode(NewStats("OCC", many)); err == nil {
+		t.Fatal("encode accepted MaxStats+1 pairs")
+	}
+	over := append([]byte{byte(RespStats), 0, 0}, binary.AppendUvarint(nil, MaxStats+1)...)
+	over = append(over, bytes.Repeat([]byte{1, 's', 0}, MaxStats+1)...)
+	if _, err := DecodeResponse(over); err == nil {
+		t.Fatal("decode accepted MaxStats+1 pairs")
+	}
+
+	// Name-length cap, on both sides.
+	if _, err := encode(NewStats("OCC", []Stat{{longest + "x", 1}})); err == nil {
+		t.Fatal("encode accepted a name past MaxStatName")
+	}
+	long := append([]byte{byte(RespStats), 0, 0, 1}, binary.AppendUvarint(nil, MaxStatName+1)...)
+	long = append(long, bytes.Repeat([]byte{'x'}, MaxStatName+1)...)
+	long = append(long, 0)
+	if _, err := DecodeResponse(long); err == nil {
+		t.Fatal("decode accepted a name past MaxStatName")
+	}
+
+	// Every proper prefix is a truncated pair (or header), and trailing
+	// bytes after the last pair are rejected.
+	for n := 2; n < len(payload); n++ {
+		if _, err := DecodeResponse(payload[:n]); err == nil {
+			t.Fatalf("decode accepted a payload truncated to %d of %d bytes", n, len(payload))
+		}
+	}
+	if _, err := DecodeResponse(append(payload[:len(payload):len(payload)], 0)); err == nil {
+		t.Fatal("decode accepted trailing bytes")
 	}
 }
 
