@@ -2,8 +2,10 @@
 // over the wire protocol: a pool of closed-loop client connections, each
 // pipelining a window of requests, measuring throughput and per-op-type
 // latency quantiles (p50/p99/p999) from the client side of the socket.
-// The measurement engine lives in internal/loadgen, shared with
-// cmd/ordo-benchrun.
+//
+// It is a smoke and correctness driver, not a benchmark: each connection
+// flushes once per op, so its throughput is bound by the client. For
+// numbers, run perfbench (bash perfbench/run.sh; see BENCHMARK.json).
 //
 // Usage:
 //
@@ -74,6 +76,16 @@ func main() {
 		traceScrape = flag.String("trace-scrape", "",
 			"comma-separated admin endpoints whose /spans are scraped after the run for the per-stage latency breakdown")
 	)
+	flag.Usage = func() {
+		fmt.Fprint(flag.CommandLine.Output(), `Usage: ordo-loadgen [flags]
+
+A smoke and correctness driver for ordod. Each connection flushes once
+per op, so its throughput is bound by the client; for numbers, run
+perfbench (bash perfbench/run.sh).
+
+`)
+		flag.PrintDefaults()
+	}
 	flag.Parse()
 
 	if *failover {

@@ -313,3 +313,48 @@ func TestHekatonGCKeepsPendingAndMidChain(t *testing.T) {
 		t.Fatalf("GC freed %d, want the 2 oldest versions", freed)
 	}
 }
+
+// TestHekatonReadSkippingPendingSuccessorConflicts pins the
+// version-publication race: commit stores the new version's begin before
+// the old version's end, so a reader can load the new head while it is
+// still a marker and then load the old version's end after both stores.
+// The chain it saw — a foreign pending head over a version that began and
+// ended at or before its snapshot — must restart the reader, not tell it
+// the row is deleted.
+func TestHekatonReadSkippingPendingSuccessorConflicts(t *testing.T) {
+	d := newHekaton(Schema{Tables: []TableDef{{Name: "t", Cols: 1}}}, logicalAllocator(), nil)
+	if err := d.NewSession().Run(func(tx Tx) error { return tx.Insert(0, 1, []uint64{7}) }); err != nil {
+		t.Fatalf("insert: %v", err)
+	}
+	r, _ := d.tables[0].get(1)
+	old := r.latest.Load()
+	neu := &version{data: []uint64{8}}
+	neu.begin.Store(marker(^uint64(0) >> 2)) // no live session's token
+	neu.end.Store(infTS)
+	neu.next.Store(old)
+	r.latest.Store(neu)
+
+	var end uint64
+	err := d.NewSession().Run(func(tx Tx) error {
+		end = tx.(*hekTx).bts
+		old.end.Store(end) // the writer's commit timestamp, at our snapshot
+		_, err := tx.Read(0, 1)
+		return err
+	})
+	if !errors.Is(err, ErrConflict) {
+		t.Fatalf("read past a pending successor: err = %v, want ErrConflict", err)
+	}
+
+	// Once the successor's begin is visible too, a restart reads it.
+	neu.begin.Store(end)
+	err = d.NewSession().Run(func(tx Tx) error {
+		v, err := tx.Read(0, 1)
+		if err == nil && v[0] != 8 {
+			t.Errorf("read %d after publication, want 8", v[0])
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatalf("read after publication: %v", err)
+	}
+}

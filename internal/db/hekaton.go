@@ -152,16 +152,18 @@ func (s *hekSession) Run(fn func(tx Tx) error) error {
 
 // visible walks the chain for the version visible at bts. It reports
 // conflict=true when a committed version had to be skipped only because of
-// timestamp uncertainty (restart the transaction).
+// timestamp uncertainty, or when the row looks deleted only because a
+// pending successor was skipped (restart the transaction).
 func (t *hekTx) visible(r *vrow) (v *version, conflict bool) {
 	clock := t.s.clock
-	sawCommitted := false
+	sawCommitted, skippedPending := false, false
 	for cur := r.latest.Load(); cur != nil; cur = cur.next.Load() {
 		b := cur.begin.Load()
 		if isMarker(b) {
 			if markerToken(b) == t.s.token {
 				return cur, false // our own pending write
 			}
+			skippedPending = true
 			continue // someone else's uncommitted version
 		}
 		sawCommitted = true
@@ -180,7 +182,10 @@ func (t *hekTx) visible(r *vrow) (v *version, conflict bool) {
 		if clock.certainlyAtOrBefore(e, t.bts) {
 			// The newest version that began before us also ended before
 			// us with no successor: the row is deleted at our snapshot.
-			return nil, false
+			// Unless we skipped a pending successor: commit stores its
+			// begin before this end, so we may have read its marker and
+			// then this end, and it is the version we should see.
+			return nil, skippedPending
 		}
 		// Inside the uncertainty window: restart.
 		return nil, sawCommitted

@@ -3,9 +3,11 @@
 // pipelining a window of requests, measuring throughput and per-op-type
 // latency quantiles from the client side of the socket.
 //
-// It is the engine behind both cmd/ordo-loadgen (flags → Config) and
-// cmd/ordo-benchrun (scenario grid → Config), so the two always measure
-// with identical client behavior.
+// It is the engine behind cmd/ordo-loadgen, a smoke and correctness
+// driver: each connection refills one request per response and flushes it,
+// one write per op, so its throughput is bound by the client. The
+// benchmark is perfbench (BENCHMARK.json), whose client batches a window
+// of requests per flush.
 //
 // CONFLICT and BUSY responses are legitimate protocol answers: the op is
 // re-issued and counted separately. Any ERR status, decode failure or
@@ -74,9 +76,6 @@ type Config struct {
 	ReportEvery time.Duration
 	// ReportTo receives the interval lines; nil discards them.
 	ReportTo io.Writer
-	// SkipPreload assumes the keyspace is already loaded (a previous run
-	// against the same server).
-	SkipPreload bool
 	// Replicas lists follower addresses to probe during the run: each gets
 	// a dedicated write→read-your-writes prober against a reserved key,
 	// counting NOT_YET answers and staleness violations and timing
@@ -114,15 +113,6 @@ type Result struct {
 	// Config.TraceScrape after the run, indexed like span.StageNames();
 	// nil when no scrape targets were configured or none answered.
 	Stages []hist.H
-}
-
-// Overall merges every class histogram into one latency distribution.
-func (r *Result) Overall() hist.H {
-	var h hist.H
-	for c := 0; c < NClasses; c++ {
-		h.Merge(&r.Hists[c])
-	}
-	return h
 }
 
 // OpsPerSec is the run's aggregate completed-op throughput.
@@ -167,11 +157,9 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !cfg.SkipPreload {
-		if err := preload(wire.NewConn(deadlineConn{nc, cfg.OpTimeout}), cfg.Records, cfg.Window); err != nil {
-			nc.Close()
-			return nil, fmt.Errorf("preload: %w", err)
-		}
+	if err := preload(wire.NewConn(deadlineConn{nc, cfg.OpTimeout}), cfg.Records, cfg.Window); err != nil {
+		nc.Close()
+		return nil, fmt.Errorf("preload: %w", err)
 	}
 	nc.Close()
 

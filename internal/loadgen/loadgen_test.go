@@ -66,9 +66,12 @@ func TestRunAgainstServer(t *testing.T) {
 	if res.Done != 400 {
 		t.Fatalf("done=%d, want 400 (2 conns x 200 ops)", res.Done)
 	}
-	overall := res.Overall()
-	if overall.Count() != res.Done {
-		t.Fatalf("histogram count %d != done %d", overall.Count(), res.Done)
+	var counted uint64
+	for c := range res.Hists {
+		counted += res.Hists[c].Count()
+	}
+	if counted != res.Done {
+		t.Fatalf("histogram count %d != done %d", counted, res.Done)
 	}
 	if res.OpsPerSec() <= 0 {
 		t.Fatalf("ops/s = %v, want > 0", res.OpsPerSec())

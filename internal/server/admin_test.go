@@ -321,3 +321,56 @@ func TestAdminServerLeakFree(t *testing.T) {
 		t.Fatalf("second admin /healthz: %d", code)
 	}
 }
+
+// TestAdminShardSeriesPerLane scrapes a 4-lane server after a pipelined
+// load over a contiguous keyspace: /metrics carries exactly one
+// ordod_shard_ops_total series per lane, and the hash router spread the
+// keys so that every lane executed batches.
+func TestAdminShardSeriesPerLane(t *testing.T) {
+	const lanes, keys = 4, 256
+	cfg := newYCSBServer(t, db.OCC)
+	cfg.Shards = lanes
+	cfg.Telemetry = NewTelemetry(nil, nil, 0)
+	ts, cleanup := startServer(t, cfg)
+	defer cleanup()
+	base, closeAdmin := startAdmin(t, ts.srv)
+	defer closeAdmin()
+
+	for _, op := range []wire.Op{wire.OpInsert, wire.OpPut, wire.OpGet} {
+		for k := 0; k < keys; k++ {
+			req := wire.Request{Op: op, Key: uint64(k)}
+			if op != wire.OpGet {
+				req.Vals = row(k)
+			}
+			if err := ts.c.WriteRequest(&req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ts.c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < keys; k++ {
+			if r, err := ts.c.ReadResponse(); err != nil || r.Status != wire.StatusOK {
+				t.Fatalf("%v key %d: %v %v", op, k, r.Status, err)
+			}
+		}
+	}
+
+	_, body := adminGet(t, base, "/metrics")
+	opsSeries, batchSeries := 0, 0
+	for series, v := range promIntegers(t, body) {
+		switch {
+		case strings.HasPrefix(series, "ordod_shard_ops_total{"):
+			opsSeries++
+		case strings.HasPrefix(series, "ordod_shard_batches_total{"):
+			batchSeries++
+			if v == 0 {
+				t.Errorf("idle lane: %s = 0", series)
+			}
+		}
+	}
+	if opsSeries != lanes || batchSeries != lanes {
+		t.Fatalf("/metrics carries %d ordod_shard_ops_total and %d ordod_shard_batches_total series, want %d each",
+			opsSeries, batchSeries, lanes)
+	}
+}

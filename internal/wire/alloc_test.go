@@ -7,9 +7,9 @@ import (
 
 // The allocation gates: the serving hot path — request/response encode,
 // server-path decode, batched response framing — must not allocate per op
-// in steady state, so the zero-alloc work cannot silently regress. The
-// benchmark harness (cmd/ordo-benchrun) reports the same numbers into
-// BENCH_*.json; these tests are the CI teeth.
+// in steady state, so the zero-alloc work cannot silently regress. They
+// skip under -race, so CI runs them in a step without it (see the
+// "Alloc gates" step in .github/workflows/ci.yml).
 
 // benchRequest is a representative PUT: one 10-column row, the YCSB shape
 // the loadgen drives.
