@@ -508,6 +508,7 @@ func run(o options) error {
 		defer func() {
 			fcancel()
 			<-folDone
+			fol.Close()
 		}()
 	}
 

@@ -226,3 +226,38 @@ func TestDeleteInvalidatesConcurrentReaders(t *testing.T) {
 		})
 	}
 }
+
+// TestDeleteRevalidatedAtCommit interleaves two deletes of one row by
+// hand on the single-version engines: session B looks the row up, then A
+// deletes it and C re-inserts the key, then B commits. B's delete must
+// conflict, and C's row must stay linked under the key.
+func TestDeleteRevalidatedAtCommit(t *testing.T) {
+	all := engines(t)
+	for _, name := range []string{OCC.String(), OCCOrdo.String(), Silo.String(), TicToc.String()} {
+		d := all[name]
+		t.Run(name, func(t *testing.T) {
+			seed(t, d, 0, map[uint64][]uint64{1: {10, 0}})
+			a, b, c := d.NewSession(), d.NewSession(), d.NewSession()
+			err := b.Run(func(tx Tx) error {
+				if err := tx.Delete(0, 1); err != nil {
+					return err
+				}
+				retry(t, a, func(tx Tx) error { return tx.Delete(0, 1) })
+				retry(t, c, func(tx Tx) error { return tx.Insert(0, 1, []uint64{20, 0}) })
+				return nil
+			})
+			if !errors.Is(err, ErrConflict) {
+				t.Fatalf("second delete of an already deleted row: err = %v, want ErrConflict", err)
+			}
+			var got []uint64
+			retry(t, a, func(tx Tx) error {
+				var err error
+				got, err = tx.Read(0, 1)
+				return err
+			})
+			if got[0] != 20 {
+				t.Fatalf("key 1 reads %v, want the re-inserted row [20 0]", got)
+			}
+		})
+	}
+}

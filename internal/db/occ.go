@@ -208,13 +208,25 @@ func (t *occTx) commit() error {
 	for _, i := range writes {
 		a := &t.acc[i]
 		switch a.kind {
-		case accessWrite, accessDelete:
+		case accessWrite:
 			if !a.r.tryLock(s.token) {
 				unlockAll()
 				rollbackInserts()
 				return ErrConflict
 			}
 			locked = append(locked, a.r)
+		case accessDelete:
+			if !a.r.tryLock(s.token) {
+				unlockAll()
+				rollbackInserts()
+				return ErrConflict
+			}
+			locked = append(locked, a.r)
+			if !s.db.store.linked(a.table, a.key, a.r) {
+				unlockAll()
+				rollbackInserts()
+				return ErrConflict
+			}
 		case accessInsert:
 			r := newRow(a.vals)
 			if !r.tryLock(s.token) {
@@ -259,7 +271,7 @@ func (t *occTx) commit() error {
 			a.r.writeData(a.vals)
 		case accessDelete:
 			ix, _ := s.db.store.table(a.table)
-			ix.remove(a.key)
+			ix.removeRow(a.key, a.r)
 		}
 		a.r.wts.Store(cts)
 	}

@@ -202,6 +202,9 @@ func (t *siloTx) commit() error {
 				return fail()
 			}
 			locked = append(locked, a.r)
+			if a.kind == accessDelete && !s.db.store.linked(a.table, a.key, a.r) {
+				return fail()
+			}
 			if tid := a.r.wts.Load(); tid > maxTID {
 				maxTID = tid
 			}
@@ -257,7 +260,7 @@ func (t *siloTx) commit() error {
 			a.r.writeData(a.vals)
 		case accessDelete:
 			ix, _ := s.db.store.table(a.table)
-			ix.remove(a.key)
+			ix.removeRow(a.key, a.r)
 		}
 		a.r.wts.Store(tid)
 	}

@@ -11,14 +11,14 @@ const indexShards = 64
 // index is a sharded hash index from key to row pointer. Index operations
 // themselves are latched (as in DBx1000); transactional consistency of row
 // contents is the CC protocol's job.
-type index[R any] struct {
+type index[R comparable] struct {
 	shards [indexShards]struct {
 		mu sync.RWMutex
 		m  map[uint64]R
 	}
 }
 
-func newIndex[R any]() *index[R] {
+func newIndex[R comparable]() *index[R] {
 	ix := &index[R]{}
 	for i := range ix.shards {
 		ix.shards[i].m = make(map[uint64]R)
@@ -48,6 +48,17 @@ func (ix *index[R]) remove(key uint64) {
 	s := ix.shard(key)
 	s.mu.Lock()
 	delete(s.m, key)
+	s.mu.Unlock()
+}
+
+// removeRow deletes key only while it still maps to r, so a delete never
+// unlinks a row inserted later under the same key.
+func (ix *index[R]) removeRow(key uint64, r R) {
+	s := ix.shard(key)
+	s.mu.Lock()
+	if cur, ok := s.m[key]; ok && cur == r {
+		delete(s.m, key)
+	}
 	s.mu.Unlock()
 }
 
@@ -143,6 +154,16 @@ func (s *svStore) table(t int) (*index[*row], bool) {
 		return nil, false
 	}
 	return s.tables[t], true
+}
+
+// linked reports whether key in table still maps to r. A delete checks it
+// once it holds r's lock: its lookup may predate another session's
+// committed delete of r, and even a re-insert under the key, which the
+// lock alone cannot show.
+func (s *svStore) linked(table int, key uint64, r *row) bool {
+	ix, _ := s.table(table)
+	cur, ok := ix.get(key)
+	return ok && cur == r
 }
 
 // accessKind distinguishes read-set and write-set entries.

@@ -197,6 +197,9 @@ func (t *tictocTx) commit() error {
 				return fail(ErrConflict)
 			}
 			locked = append(locked, a.r)
+			if a.kind == accessDelete && !s.db.store.linked(a.table, a.key, a.r) {
+				return fail(ErrConflict)
+			}
 			if v := a.r.rts.Load() + 1; v > cts {
 				cts = v
 			}
@@ -267,7 +270,7 @@ func (t *tictocTx) commit() error {
 			a.r.writeData(a.vals)
 		case accessDelete:
 			ix, _ := s.db.store.table(a.table)
-			ix.remove(a.key)
+			ix.removeRow(a.key, a.r)
 		}
 		a.r.wts.Store(cts)
 		a.r.rts.Store(cts)

@@ -1,11 +1,11 @@
 package failover
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"time"
 
+	"ordo/internal/repl"
 	"ordo/internal/server"
 	"ordo/internal/wal"
 )
@@ -107,7 +107,12 @@ func Decide(cfg BootstrapConfig) (*Bootstrap, error) {
 	if diskEpoch, err := wal.MaxEpoch(cfg.Dir); err == nil && diskEpoch > epoch {
 		epoch = diskEpoch
 	}
-	cursor := readCursor(cfg.CursorFile)
+	var cursor repl.Position
+	if cfg.CursorFile != "" {
+		if cursor, err = repl.ReadCursor(cfg.CursorFile); err != nil {
+			logf("failover: %v; treating the cursor as origin", err)
+		}
+	}
 	if cursor.Epoch > epoch {
 		epoch = cursor.Epoch
 	}
@@ -260,30 +265,7 @@ func probeRound(cfg *BootstrapConfig) roundResult {
 	return r
 }
 
-// cursorPos mirrors repl.Position without importing the package (repl
-// imports server; failover sits beside it and keeps its deps minimal).
-type cursorPos struct {
-	Inc   uint64 `json:"inc"`
-	Seq   uint64 `json:"seq"`
-	Epoch uint64 `json:"epoch"`
-}
-
-func readCursor(path string) cursorPos {
-	var c cursorPos
-	if path == "" {
-		return c
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return c
-	}
-	if json.Unmarshal(data, &c) != nil {
-		return cursorPos{}
-	}
-	return c
-}
-
-func cursorBeyond(c cursorPos, prevInc, prevSeq uint64) bool {
+func cursorBeyond(c repl.Position, prevInc, prevSeq uint64) bool {
 	if c.Inc != prevInc {
 		return c.Inc > prevInc
 	}

@@ -332,6 +332,9 @@ func (n *Node) Run(ctx context.Context) error {
 	n.mu.Unlock()
 	if role == server.RoleFollower {
 		n.followLoop(ctx)
+		// Only followLoop writes the cursor; after it returns the follower
+		// is read for its published position alone.
+		n.fol.Close()
 	}
 	n.mu.Lock()
 	role = n.role

@@ -3,13 +3,10 @@ package repl
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -81,10 +78,11 @@ type FollowerConfig struct {
 	// a cross-node merger joins against the leader's repl_ship span.
 	// Optional.
 	Spans *span.Ring
-	// StateFile persists the Position cursor (JSON, temp+fsync+rename).
-	// A lost or stale-low cursor only costs a resend — replay is
-	// idempotent — but the epoch it records feeds the bootstrap decision,
-	// so the write is made durable before the rename installs it.
+	// StateFile persists the Position cursor: a two-slot record updated
+	// in place and fsynced before every ack (see cursor.go). A lost or
+	// stale-low cursor only costs a resend — replay is idempotent — but
+	// the epoch it records feeds the bootstrap decision, so every write is
+	// durable before the follower acts on it.
 	StateFile string
 	// Boundary reports the follower's own Ordo uncertainty window in clock
 	// ticks, already widened for clock-health anomalies by the caller. The
@@ -134,11 +132,11 @@ type Follower struct {
 	productive     bool // current session handled at least one frame
 
 	recsBuf []wal.Record
-	posBuf  []byte
+	cursor  *cursorFile // nil without a StateFile
 }
 
 // NewFollower builds a Follower, loading the durable cursor from
-// cfg.StateFile when it exists.
+// cfg.StateFile when it exists. Close releases the file.
 func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.Addr == "" || cfg.DB == nil || cfg.Log == nil {
 		return nil, fmt.Errorf("repl: Follower requires Addr, DB and Log")
@@ -157,19 +155,16 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	}
 	f := &Follower{cfg: cfg, h: cfg.Log.NewHandle()}
 	if cfg.StateFile != "" {
-		data, err := os.ReadFile(cfg.StateFile)
+		c, pos, err := openCursor(cfg.StateFile)
 		switch {
-		case os.IsNotExist(err):
+		case errors.Is(err, errCursorCorrupt):
+			// A corrupt cursor is recoverable: resume from (0, 0) and let
+			// idempotent replay absorb the resend.
+			cfg.Logf("repl: cursor %s: %v, resuming from scratch", cfg.StateFile, err)
 		case err != nil:
-			return nil, fmt.Errorf("repl: reading cursor: %w", err)
-		default:
-			if err := json.Unmarshal(data, &f.pos); err != nil {
-				// A corrupt cursor is recoverable: resume from (0, 0) and
-				// let idempotent replay absorb the resend.
-				cfg.Logf("repl: cursor %s corrupt (%v), resuming from scratch", cfg.StateFile, err)
-				f.pos = Position{}
-			}
+			return nil, err
 		}
+		f.cursor, f.pos = c, pos
 	}
 	f.epoch = cfg.Epoch
 	if f.pos.Epoch > f.epoch {
@@ -177,6 +172,15 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	}
 	f.publish()
 	return f, nil
+}
+
+// Close releases the cursor file. Call it once no Session or Converge can
+// run any more.
+func (f *Follower) Close() error {
+	if f.cursor == nil {
+		return nil
+	}
+	return f.cursor.close()
 }
 
 // publish snapshots the cursor and epoch for cross-goroutine readers.
@@ -436,45 +440,15 @@ func (f *Follower) applyBatch(m *wire.ReplMsg) error {
 	return nil
 }
 
-// persistPos writes the cursor sidecar atomically (temp + fsync + rename).
-// A lost cursor only costs a resend, but the epoch it carries feeds the
-// bootstrap epoch max — fsyncing before the rename keeps a power failure
-// from installing a torn file in place of one that recorded a newer regime.
+// persistPos makes the cursor durable: one in-place slot write and fsync.
+// It runs after the batch is flushed and replayed and before the ack, so
+// the cursor is never ahead of the local log, and the epoch it carries
+// feeds the bootstrap epoch max.
 func (f *Follower) persistPos() error {
-	if f.cfg.StateFile == "" {
+	if f.cursor == nil {
 		return nil
 	}
-	data, err := json.Marshal(f.pos)
-	if err != nil {
-		return err
-	}
-	f.posBuf = append(data, '\n')
-	tmp := f.cfg.StateFile + ".tmp"
-	tf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := tf.Write(f.posBuf); err != nil {
-		tf.Close()
-		return err
-	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		return err
-	}
-	if err := tf.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, f.cfg.StateFile); err != nil {
-		return err
-	}
-	// Renames are metadata; sync the directory so the cursor survives a
-	// machine crash as reliably as the log it points into.
-	if dir, err := os.Open(filepath.Dir(f.cfg.StateFile)); err == nil {
-		dir.Sync()
-		dir.Close()
-	}
-	return nil
+	return f.cursor.store(f.pos)
 }
 
 // publishLag posts how far the apply cursor trails the leader's advertised

@@ -113,7 +113,9 @@ type testServer struct {
 }
 
 // startServer boots a server on a loopback listener and returns it with a
-// dialed client Conn and a cleanup.
+// dialed client Conn and a cleanup. It returns only after one STATS round
+// trip, so Serve has registered its listener before any caller can shut
+// the server down.
 func startServer(t *testing.T, cfg Config) (*testServer, func()) {
 	t.Helper()
 	srv, err := New(cfg)
@@ -142,7 +144,12 @@ func startServer(t *testing.T, cfg Config) (*testServer, func()) {
 			t.Errorf("serve: %v", err)
 		}
 	}
-	return &testServer{srv: srv, c: wire.NewConn(nc), addr: ln.Addr().String()}, cleanup
+	c := wire.NewConn(nc)
+	if resp, err := c.Do(&wire.Request{Op: wire.OpStats}); err != nil || resp.Status != wire.StatusOK {
+		cleanup()
+		t.Fatalf("startup STATS round trip: %v %v", resp.Status, err)
+	}
+	return &testServer{srv: srv, c: c, addr: ln.Addr().String()}, cleanup
 }
 
 // counters reads the server's catalogue once, by series name, so one
