@@ -757,3 +757,116 @@ func TestReplCrashFollowerKill(t *testing.T) {
 		t.Fatalf("restarted follower resumed from (0, 0) — cursor not persisted:\n%s", b)
 	}
 }
+
+// TestFailoverFollowerRejoinsNewerRegime restarts a follower into a
+// regime that began while it was down. Its cursor is in the old leader's
+// coordinates, and here those coordinates are valid-looking ones in the
+// new leader's log too: node0 (the first leader) streams as incarnation 2
+// because its directory was opened once before, and node1 (the next
+// leader) writes incarnation 2 because it restarted once. Resuming from
+// that cursor skips records of the new leader; the follower must
+// resubscribe from the origin and converge.
+func TestFailoverFollowerRejoinsNewerRegime(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess failover harness skipped in -short")
+	}
+	const n = 3
+	var clientAddrs [n]string
+	var peers []string
+	for i := 0; i < n; i++ {
+		clientAddrs[i] = reservePort(t)
+		peers = append(peers, reservePort(t)+"@"+clientAddrs[i])
+	}
+	peerList := strings.Join(peers, ",")
+	walDirs := [n]string{t.TempDir(), t.TempDir(), t.TempDir()}
+	var procs [n]*ordodProc
+	defer func() {
+		for _, p := range procs {
+			if p != nil {
+				p.cmd.Process.Kill()
+				p.cmd.Wait()
+			}
+		}
+	}()
+	start := func(i int, tag string) {
+		procs[i] = startOrdod(t, walDirs[i], fmt.Sprintf("rejoin-node%d-%s", i, tag),
+			"-addr", clientAddrs[i], "-failover", "-peers", peerList,
+			"-peer-index", fmt.Sprint(i), "-heartbeat-timeout", "500ms")
+	}
+	stop := func(i int, sig syscall.Signal) {
+		procs[i].cmd.Process.Signal(sig)
+		procs[i].cmd.Wait()
+	}
+	role := func(i int, who string, code uint64, epoch uint64) {
+		failoverStats(t, clientAddrs[i], who, bootTimeout, func(s *wire.Stats) bool {
+			return s.ReplRoleCode == code && s.Value("ordod_epoch") >= epoch
+		})
+	}
+	insert := func(i int, from, to uint64) {
+		nc, err := net.Dial("tcp", clientAddrs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		c := wire.NewConn(nc)
+		for k := from; k < to; k++ {
+			nc.SetDeadline(time.Now().Add(10 * time.Second))
+			if r, err := c.Do(&wire.Request{Op: wire.OpInsert, Key: k, Vals: crashRow(k, 0)}); err != nil || r.Status != wire.StatusOK {
+				dumpLog(t, procs[i])
+				t.Fatalf("insert %d on node%d: %v %v", k, i, r, err)
+			}
+		}
+	}
+	const keys = 512
+	converge := func(lead, i int, who string) {
+		want, err := loadgen.Sweep(clientAddrs[lead], keys, crashWindow, 10*time.Second, 10*time.Second)
+		if err != nil {
+			t.Fatalf("sweep node%d: %v", lead, err)
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			got, err := loadgen.Sweep(clientAddrs[i], keys, crashWindow, 10*time.Second, 10*time.Second)
+			if err == nil && got == want {
+				return
+			}
+			if time.Now().After(deadline) {
+				dumpLog(t, procs[i])
+				t.Fatalf("%s diverged: %+v, want %+v (err %v)", who, got, want, err)
+			}
+			time.Sleep(100 * time.Millisecond)
+		}
+	}
+
+	// node0's directory already holds incarnation 1.
+	pre := startOrdod(t, walDirs[0], "rejoin-node0-pre")
+	pre.cmd.Process.Signal(syscall.SIGTERM)
+	if err := pre.cmd.Wait(); err != nil {
+		dumpLog(t, pre)
+		t.Fatalf("pre-opening node0's directory: %v", err)
+	}
+	for i := 0; i < n; i++ {
+		start(i, "a")
+	}
+	role(0, "cold leader", 1, 1)
+	insert(0, 0, 128)
+	converge(0, 1, "node1")
+	converge(0, 2, "node2")
+
+	// node1 restarts: its next records are incarnation 2 of its own log.
+	stop(1, syscall.SIGTERM)
+	start(1, "b")
+	role(1, "restarted node1", 2, 1)
+	insert(0, 128, 256)
+	converge(0, 1, "restarted node1")
+	converge(0, 2, "node2")
+
+	// node2, then the leader, die; node1 takes over and writes on.
+	stop(2, syscall.SIGKILL)
+	stop(0, syscall.SIGKILL)
+	role(1, "promoted node1", 1, 2)
+	insert(1, 256, keys)
+
+	start(2, "b")
+	role(2, "rejoined node2", 2, 2)
+	converge(1, 2, "rejoined node2")
+}

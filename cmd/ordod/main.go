@@ -24,13 +24,13 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -79,7 +79,6 @@ type options struct {
 	follow       string
 	replAddr     string
 	replAddrFile string
-	replCursor   string
 	replLagBound time.Duration
 
 	failover         bool
@@ -140,8 +139,6 @@ func main() {
 		"leader replication listen address; followers subscribe here (requires -wal-dir, empty disables)")
 	flag.StringVar(&o.replAddrFile, "repl-addr-file", "",
 		"write the bound replication address to this file once listening (for :0 port discovery)")
-	flag.StringVar(&o.replCursor, "repl-cursor", "",
-		"follower stream-cursor sidecar path (default <wal-dir>/cursor.json)")
 	flag.DurationVar(&o.replLagBound, "repl-lag-bound", server.DefaultLagBound,
 		"follower health bound: /healthz turns 503 when the leader is silent this long")
 	flag.BoolVar(&o.failover, "failover", false,
@@ -239,10 +236,6 @@ func run(o options) error {
 	// Failover mode decides the role itself, by probing the cluster —
 	// BEFORE recovery, because a fenced ex-leader must truncate its
 	// unshipped WAL suffix while nothing has the log open.
-	cursor := o.replCursor
-	if cursor == "" && o.walDir != "" {
-		cursor = filepath.Join(o.walDir, "cursor.json")
-	}
 	var (
 		fpeers []failover.Peer
 		boot   *failover.Bootstrap
@@ -270,13 +263,13 @@ func run(o options) error {
 			Dir:              o.walDir,
 			Index:            o.peerIndex,
 			Peers:            fpeers,
-			CursorFile:       cursor,
 			HeartbeatTimeout: o.heartbeatTimeout,
 			Logf:             log.Printf,
 		})
 		if err != nil {
 			return err
 		}
+		defer boot.Record.Close()
 		role = boot.Role
 		log.Printf("failover bootstrap: role=%v epoch=%d leader-index=%d truncated=%d resumed=%v",
 			boot.Role, boot.Epoch, boot.LeaderIndex, boot.Truncated, boot.Resumed)
@@ -315,9 +308,6 @@ func run(o options) error {
 			SegmentBytes: o.walSegBytes,
 			Sync:         sync,
 			SyncEvery:    o.walSyncEvery,
-		}
-		if boot != nil {
-			fcfg.Epoch = boot.Epoch
 		}
 		if tel != nil {
 			fcfg.SyncObserver = tel.WALSyncObserver()
@@ -484,13 +474,22 @@ func run(o options) error {
 
 	// Follower: tail the leader in the background until shutdown.
 	if role == server.RoleFollower && !o.failover {
+		rec, err := repl.OpenRegime(o.walDir)
+		switch {
+		case errors.Is(err, repl.ErrRegimeCorrupt):
+			// A lost cursor only costs a resend: replay is idempotent.
+			log.Printf("%v; resuming from the origin", err)
+		case err != nil:
+			return err
+		}
+		defer rec.Close()
 		fol, err := repl.NewFollower(repl.FollowerConfig{
 			Addr:      o.follow,
 			DB:        engine,
 			Log:       walLog,
 			State:     replState,
 			Telemetry: tel,
-			StateFile: cursor,
+			Regime:    rec,
 			Boundary:  boundary,
 			Spans:     spanRing,
 			Logf:      log.Printf,
@@ -508,7 +507,6 @@ func run(o options) error {
 		defer func() {
 			fcancel()
 			<-folDone
-			fol.Close()
 		}()
 	}
 
@@ -519,7 +517,6 @@ func run(o options) error {
 			Index:            o.peerIndex,
 			Peers:            fpeers,
 			Dir:              o.walDir,
-			CursorFile:       cursor,
 			DB:               engine,
 			Log:              walLog,
 			Device:           walDev,

@@ -2,7 +2,6 @@ package failover
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"ordo/internal/repl"
@@ -18,7 +17,7 @@ const DefaultDialTimeout = time.Second
 type Bootstrap struct {
 	// Role this node boots into.
 	Role server.ReplRole
-	// Epoch the node serves under (and opens its WAL device with).
+	// Epoch the node serves under.
 	Epoch uint64
 	// LeaderIndex is the believed leader's peer index (this node's own
 	// index when Role is leader), -1 when no leader is known yet.
@@ -31,18 +30,21 @@ type Bootstrap struct {
 	// no negative evidence), so the node holds the replication-ack
 	// gate's no-subscriber waiver until the first follower re-subscribes.
 	Resumed bool
+	// Record is the node's open regime record, already holding this
+	// regime. The Node and its follower store through it; the caller
+	// closes it once the Node has stopped.
+	Record *repl.RegimeFile
 }
 
 // BootstrapConfig parameterizes Decide.
 type BootstrapConfig struct {
-	// Dir is the WAL directory (sidecars live next to the segments).
+	// Dir is the WAL directory; the regime record lives next to the
+	// segments.
 	Dir string
 	// Index is this node's position in Peers.
 	Index int
 	// Peers is the full cluster map, including this node.
 	Peers []Peer
-	// CursorFile is the follower stream-cursor sidecar path.
-	CursorFile string
 	// DialTimeout bounds each peer probe; ≤ 0 means DefaultDialTimeout.
 	DialTimeout time.Duration
 	// HeartbeatTimeout is the cluster's leader-silence bound, used to
@@ -58,18 +60,22 @@ type BootstrapConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// Decide probes the cluster and fixes this node's starting regime. It
-// MUST run before wal.Recover/OpenFile: the fenced-rejoin path rewrites
-// the log in place.
+// Decide probes the cluster, fixes this node's starting regime and stores
+// it in the regime record. It MUST run before wal.Recover/OpenFile: the
+// fenced-rejoin path rewrites the log in place. A record with no valid
+// slot is an error — a node that cannot tell which regime it served must
+// not guess.
 //
 // The decision table:
 //
 //   - A live leader answered a probe: join it as a follower. If its epoch
-//     is newer than anything recorded locally AND this node's sidecar says
-//     it led the old regime, the local log tail past the new leader's
-//     takeover cursor was never shipped — truncate it first, so recovery
-//     replays exactly the prefix the new regime inherited.
-//   - No live leader, but the sidecar says this node was the leader:
+//     is newer than the recorded one AND the record says this node led
+//     the old regime, the local log tail past the new leader's takeover
+//     cursor was never shipped — truncate it first, so recovery replays
+//     exactly the prefix the new regime inherited. Either way the newer
+//     epoch clears the recorded cursor: it is in the old leader's
+//     coordinates, and the new leader would read it in its own.
+//   - No live leader, but the record says this node was the leader:
 //     re-probe for ResumeGrace first — a crashed leader restarting fast can
 //     race the very election its death triggered, and resuming blindly at
 //     the old epoch while a follower promotes at epoch+1 forks the cluster
@@ -87,7 +93,7 @@ type BootstrapConfig struct {
 // it was dead — a double failure outside the supported model. Decide
 // refuses to guess and resets the node to an empty log (it re-backfills
 // everything from the new leader), logging loudly.
-func Decide(cfg BootstrapConfig) (*Bootstrap, error) {
+func Decide(cfg BootstrapConfig) (_ *Bootstrap, err error) {
 	if cfg.Index < 0 || cfg.Index >= len(cfg.Peers) {
 		return nil, fmt.Errorf("failover: peer index %d outside peer list of %d", cfg.Index, len(cfg.Peers))
 	}
@@ -99,23 +105,20 @@ func Decide(cfg BootstrapConfig) (*Bootstrap, error) {
 		logf = func(string, ...any) {}
 	}
 
-	meta, err := ReadMeta(cfg.Dir)
+	rec, err := repl.OpenRegime(cfg.Dir)
 	if err != nil {
+		if rec != nil {
+			rec.Close()
+		}
 		return nil, err
 	}
-	epoch := meta.Epoch
-	if diskEpoch, err := wal.MaxEpoch(cfg.Dir); err == nil && diskEpoch > epoch {
-		epoch = diskEpoch
-	}
-	var cursor repl.Position
-	if cfg.CursorFile != "" {
-		if cursor, err = repl.ReadCursor(cfg.CursorFile); err != nil {
-			logf("failover: %v; treating the cursor as origin", err)
+	defer func() {
+		if err != nil {
+			rec.Close()
 		}
-	}
-	if cursor.Epoch > epoch {
-		epoch = cursor.Epoch
-	}
+	}()
+	reg := rec.Load()
+	epoch := reg.Epoch
 
 	// One probe round over the other peers; the newest live leader wins.
 	round := probeRound(&cfg)
@@ -126,7 +129,7 @@ func Decide(cfg BootstrapConfig) (*Bootstrap, error) {
 	// now would put two acking leaders on the wire at different epochs.
 	// Keep re-probing for the grace window; a live leader found on any
 	// round is joined below exactly like a first-round find.
-	if round.leaderIdx < 0 && meta.Role == "leader" && len(cfg.Peers) > 1 {
+	if round.leaderIdx < 0 && reg.Role == server.RoleLeader && len(cfg.Peers) > 1 {
 		grace := cfg.ResumeGrace
 		if grace <= 0 {
 			hb := cfg.HeartbeatTimeout
@@ -165,14 +168,14 @@ func Decide(cfg BootstrapConfig) (*Bootstrap, error) {
 		}
 	}
 
-	b := &Bootstrap{Epoch: epoch, LeaderIndex: round.leaderIdx}
+	b := &Bootstrap{Epoch: epoch, LeaderIndex: round.leaderIdx, Record: rec}
 	leaderEpoch, leaderPrevInc, leaderPrevSeq := round.leaderEpoch, round.leaderPrevInc, round.leaderPrevSeq
 	switch {
 	case round.leaderIdx >= 0:
 		b.Role = server.RoleFollower
 		if leaderEpoch > epoch {
-			switch meta.Role {
-			case "leader":
+			switch reg.Role {
+			case server.RoleLeader:
 				// Fenced ex-leader: our log's coordinates ARE the old
 				// stream's, and the new leader acknowledged through
 				// (PrevInc, PrevSeq). Everything past it is the unshipped
@@ -189,19 +192,17 @@ func Decide(cfg BootstrapConfig) (*Bootstrap, error) {
 				// Ex-follower (or fresh node): its log is a local
 				// transcription in its own coordinates; cursor position
 				// decides whether it is a safe prefix.
-				if cursorBeyond(cursor, leaderPrevInc, leaderPrevSeq) {
+				if cursorBeyond(reg.Pos, leaderPrevInc, leaderPrevSeq) {
 					logf("failover: WARNING: cursor (%d, %d) runs past epoch %d regime start (%d, %d) — double failure? resetting local log to re-backfill",
-						cursor.Inc, cursor.Seq, leaderEpoch, leaderPrevInc, leaderPrevSeq)
-					if err := resetDir(cfg.Dir); err != nil {
-						return nil, err
+						reg.Pos.Inc, reg.Pos.Seq, leaderEpoch, leaderPrevInc, leaderPrevSeq)
+					if _, err := wal.TruncateAfter(cfg.Dir, 0, 0); err != nil {
+						return nil, fmt.Errorf("failover: resetting local log: %w", err)
 					}
-					// The cursor may live outside the WAL dir.
-					_ = os.Remove(cfg.CursorFile)
 				}
 			}
 			b.Epoch = leaderEpoch
 		}
-	case meta.Role == "leader":
+	case reg.Role == server.RoleLeader:
 		// Leader restart with no competing regime found within the grace
 		// window: resume it. The ack gate stays held until a follower
 		// re-subscribes (Resumed), so even a probe-evading concurrent
@@ -231,6 +232,20 @@ func Decide(cfg BootstrapConfig) (*Bootstrap, error) {
 	// on the wire — a failover leader never serves under it.
 	if b.Role == server.RoleLeader && b.Epoch == 0 {
 		b.Epoch = 1
+	}
+
+	// One store moves role, epoch and regime start together. A resumed
+	// regime keeps its start (a first-time leader's starts at the log
+	// origin), and a follower keeps its cursor only within its epoch.
+	next := repl.Regime{Role: b.Role, Epoch: b.Epoch}
+	switch {
+	case b.Role == server.RoleLeader && reg.Role == server.RoleLeader:
+		next.Start = reg.Start
+	case b.Role == server.RoleFollower && b.Epoch == reg.Epoch:
+		next.Pos = reg.Pos
+	}
+	if err := rec.Store(next); err != nil {
+		return nil, err
 	}
 	return b, nil
 }
@@ -270,16 +285,4 @@ func cursorBeyond(c repl.Position, prevInc, prevSeq uint64) bool {
 		return c.Inc > prevInc
 	}
 	return c.Seq > prevSeq
-}
-
-// resetDir wipes a WAL directory (segments, cursor, sidecars) so the node
-// re-backfills from scratch.
-func resetDir(dir string) error {
-	if err := os.RemoveAll(dir); err != nil {
-		return fmt.Errorf("failover: resetting %s: %w", dir, err)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("failover: recreating %s: %w", dir, err)
-	}
-	return nil
 }

@@ -11,20 +11,17 @@
 // gate) or was written while no follower was subscribed; the election
 // winner is the follower with the greatest (epoch, incarnation, seq)
 // position among live peers, which therefore holds every gated ack; the
-// winner bumps the epoch in its WAL segment headers before serving a
-// single write, so any frame or subscription from the old regime is
-// rejected by epoch comparison from then on; and a fenced ex-leader
-// truncates its unshipped suffix — records no ack depended on — back to
-// the winner's takeover cursor before it resubscribes.
+// winner stores the bumped epoch in its regime record (repl.RegimeFile)
+// before serving a single write, so any frame or subscription from the old
+// regime is rejected by epoch comparison from then on; and a fenced
+// ex-leader truncates its unshipped suffix — records no ack depended on —
+// back to the winner's takeover cursor before it resubscribes.
 package failover
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
-	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -56,76 +53,6 @@ func ParsePeers(s string) ([]Peer, error) {
 		return nil, fmt.Errorf("failover: empty peer list")
 	}
 	return peers, nil
-}
-
-// Meta is the failover sidecar persisted next to the WAL: the regime this
-// node last served under. The epoch here and in the WAL segment headers
-// back each other up — bootstrap takes the max — and Role is what lets a
-// restarting node tell "I was the leader, my log's tail coordinates are
-// the stream's" from "I was a follower, my log is a local transcription".
-type Meta struct {
-	Role    string `json:"role"` // "leader" or "follower"
-	Epoch   uint64 `json:"epoch"`
-	PrevInc uint64 `json:"prev_inc"` // regime start (leader only)
-	PrevSeq uint64 `json:"prev_seq"`
-}
-
-// MetaPath returns the sidecar path inside a WAL directory.
-func MetaPath(dir string) string { return filepath.Join(dir, "failover.json") }
-
-// ReadMeta loads the sidecar; a missing file is a zero Meta, and a corrupt
-// one is an error the caller should surface (guessing a regime is how
-// split brain starts).
-func ReadMeta(dir string) (Meta, error) {
-	var m Meta
-	data, err := os.ReadFile(MetaPath(dir))
-	if os.IsNotExist(err) {
-		return m, nil
-	}
-	if err != nil {
-		return m, err
-	}
-	if err := json.Unmarshal(data, &m); err != nil {
-		return m, fmt.Errorf("failover: corrupt %s: %w", MetaPath(dir), err)
-	}
-	return m, nil
-}
-
-// WriteMeta persists the sidecar atomically AND durably (temp + fsync +
-// rename + dir sync), matching the durability of the log it describes.
-// The temp file is fsynced before the rename: renaming first could expose
-// an empty or torn failover.json after a power failure, and ReadMeta
-// treats corruption as fatal — a node that cannot tell which regime it
-// served must not guess.
-func WriteMeta(dir string, m Meta) error {
-	data, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	tmp := MetaPath(dir) + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, MetaPath(dir)); err != nil {
-		return err
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
 }
 
 // Probe dials a peer's replication listener, sends a STATUS hello and

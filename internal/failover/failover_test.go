@@ -2,6 +2,8 @@ package failover
 
 import (
 	"bufio"
+	"encoding/binary"
+	"errors"
 	"net"
 	"os"
 	"path/filepath"
@@ -9,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"ordo/internal/repl"
 	"ordo/internal/server"
 	"ordo/internal/wal"
 	"ordo/internal/wire"
@@ -40,36 +43,38 @@ func TestParsePeers(t *testing.T) {
 	}
 }
 
-func TestMetaRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	// Missing file is a zero Meta, not an error.
-	m, err := ReadMeta(dir)
-	if err != nil || m != (Meta{}) {
-		t.Fatalf("missing sidecar: %+v, %v", m, err)
-	}
-	want := Meta{Role: "leader", Epoch: 3, PrevInc: 2, PrevSeq: 4711}
-	if err := WriteMeta(dir, want); err != nil {
+// storeRegime seeds dir's regime record with g, as an earlier run of the
+// node would have left it.
+func storeRegime(t *testing.T, dir string, g repl.Regime) {
+	t.Helper()
+	rec, err := repl.OpenRegime(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	m, err = ReadMeta(dir)
-	if err != nil || m != want {
-		t.Fatalf("round trip: %+v, %v; want %+v", m, err, want)
-	}
-	// Corruption is an error, not a guess.
-	if err := os.WriteFile(MetaPath(dir), []byte("{not json"), 0o644); err != nil {
+	defer rec.Close()
+	if err := rec.Store(g); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadMeta(dir); err == nil {
-		t.Fatal("corrupt sidecar read back without error")
+}
+
+// mustDecide runs Decide, failing on error, and closes the record it
+// returns at cleanup.
+func mustDecide(t *testing.T, cfg BootstrapConfig) *Bootstrap {
+	t.Helper()
+	b, err := Decide(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { b.Record.Close() })
+	return b
 }
 
 // decideOffline runs Decide against peers that are all unreachable (ports
 // from the reserved TEST-NET range never answer on loopback in time). The
 // resume grace is kept short so ex-leader tests stay fast.
-func decideOffline(t *testing.T, dir, cursorFile string, index int) *Bootstrap {
+func decideOffline(t *testing.T, dir string, index int) *Bootstrap {
 	t.Helper()
-	b, err := Decide(BootstrapConfig{
+	return mustDecide(t, BootstrapConfig{
 		Dir:   dir,
 		Index: index,
 		Peers: []Peer{
@@ -77,14 +82,9 @@ func decideOffline(t *testing.T, dir, cursorFile string, index int) *Bootstrap {
 			{Repl: "127.0.0.1:3", Client: "127.0.0.1:4"},
 			{Repl: "127.0.0.1:5", Client: "127.0.0.1:6"},
 		},
-		CursorFile:  cursorFile,
 		DialTimeout: 50 * time.Millisecond,
 		ResumeGrace: 50 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
 }
 
 // fakePeer is a minimal replication listener: every connection gets its
@@ -139,11 +139,11 @@ func (p *fakePeer) addr() string { return p.ln.Addr().String() }
 func TestDecideColdCluster(t *testing.T) {
 	// Nobody answers, no history: index 0 leads at a fenced epoch, everyone
 	// else follows the priority head.
-	b := decideOffline(t, t.TempDir(), "", 0)
+	b := decideOffline(t, t.TempDir(), 0)
 	if b.Role != server.RoleLeader || b.Epoch != 1 || b.LeaderIndex != 0 {
 		t.Fatalf("cold index 0: %+v", b)
 	}
-	b = decideOffline(t, t.TempDir(), "", 2)
+	b = decideOffline(t, t.TempDir(), 2)
 	if b.Role != server.RoleFollower || b.LeaderIndex != 0 {
 		t.Fatalf("cold index 2: %+v", b)
 	}
@@ -152,10 +152,8 @@ func TestDecideColdCluster(t *testing.T) {
 func TestDecideLeaderResume(t *testing.T) {
 	// A restarting ex-leader with no competing regime resumes its own.
 	dir := t.TempDir()
-	if err := WriteMeta(dir, Meta{Role: "leader", Epoch: 5, PrevInc: 1, PrevSeq: 9}); err != nil {
-		t.Fatal(err)
-	}
-	b := decideOffline(t, dir, "", 1)
+	storeRegime(t, dir, repl.Regime{Role: server.RoleLeader, Epoch: 5, Start: repl.Position{Inc: 1, Seq: 9}})
+	b := decideOffline(t, dir, 1)
 	if b.Role != server.RoleLeader || b.Epoch != 5 || b.LeaderIndex != 1 {
 		t.Fatalf("leader resume: %+v", b)
 	}
@@ -163,6 +161,10 @@ func TestDecideLeaderResume(t *testing.T) {
 	// it must boot with the ack gate held until a follower re-subscribes.
 	if !b.Resumed {
 		t.Fatal("multi-node leader resume did not set Resumed")
+	}
+	// The resumed regime keeps its start for fenced rejoiners.
+	if g := b.Record.Load(); g.Role != server.RoleLeader || g.Start != (repl.Position{Inc: 1, Seq: 9}) {
+		t.Fatalf("resumed regime recorded as %+v", g)
 	}
 }
 
@@ -172,16 +174,14 @@ func TestDecideResumeJoinsConcurrentElection(t *testing.T) {
 	// first, then finishes promoting mid-grace. The re-probe loop must see
 	// the new regime and join it instead of resuming the old one.
 	dir := t.TempDir()
-	if err := WriteMeta(dir, Meta{Role: "leader", Epoch: 5, PrevInc: 1, PrevSeq: 9}); err != nil {
-		t.Fatal(err)
-	}
+	storeRegime(t, dir, repl.Regime{Role: server.RoleLeader, Epoch: 5, Start: repl.Position{Inc: 1, Seq: 9}})
 	peer := startFakePeer(t, wire.ReplMsg{Kind: wire.ReplStatus, Role: uint64(server.RoleFollower), Epoch: 5})
 	flip := time.AfterFunc(150*time.Millisecond, func() {
 		peer.set(wire.ReplMsg{Kind: wire.ReplStatus, Role: uint64(server.RoleLeader), Epoch: 6,
 			PrevInc: 1, PrevSeq: 9, Addr: "127.0.0.1:7602"})
 	})
 	defer flip.Stop()
-	b, err := Decide(BootstrapConfig{
+	b := mustDecide(t, BootstrapConfig{
 		Dir:   dir,
 		Index: 0,
 		Peers: []Peer{
@@ -192,9 +192,6 @@ func TestDecideResumeJoinsConcurrentElection(t *testing.T) {
 		DialTimeout: 50 * time.Millisecond,
 		ResumeGrace: 2 * time.Second,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if b.Role != server.RoleFollower || b.Epoch != 6 || b.LeaderIndex != 1 {
 		t.Fatalf("concurrent election join: %+v", b)
 	}
@@ -205,9 +202,7 @@ func TestDecideResumeRefusesHigherEpoch(t *testing.T) {
 	// never answers. Resuming would fork the cluster; following blindly has
 	// no takeover cursor to truncate to. Decide must refuse to boot.
 	dir := t.TempDir()
-	if err := WriteMeta(dir, Meta{Role: "leader", Epoch: 5}); err != nil {
-		t.Fatal(err)
-	}
+	storeRegime(t, dir, repl.Regime{Role: server.RoleLeader, Epoch: 5})
 	peer := startFakePeer(t, wire.ReplMsg{Kind: wire.ReplStatus, Role: uint64(server.RoleFollower), Epoch: 9})
 	_, err := Decide(BootstrapConfig{
 		Dir:   dir,
@@ -226,9 +221,9 @@ func TestDecideResumeRefusesHigherEpoch(t *testing.T) {
 
 func TestDecideColdClusterFencesHistory(t *testing.T) {
 	// Cold takeover over a log with regime history: the new leader must
-	// bump PAST the on-disk epoch, never reuse it.
+	// bump PAST the recorded epoch, never reuse it.
 	dir := t.TempDir()
-	dev, err := wal.OpenFile(dir, wal.FileConfig{Epoch: 4})
+	dev, err := wal.OpenFile(dir, wal.FileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,38 +233,144 @@ func TestDecideColdClusterFencesHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev.Close()
-	b := decideOffline(t, dir, "", 0)
+	storeRegime(t, dir, repl.Regime{Role: server.RoleFollower, Epoch: 4})
+	b := decideOffline(t, dir, 0)
 	if b.Role != server.RoleLeader || b.Epoch != 5 {
 		t.Fatalf("cold takeover over epoch-4 history: %+v, want leader at epoch 5", b)
 	}
 }
 
+// writeParentFormat lays out a WAL directory as builds before the regime
+// record left it: a failover.json sidecar, a cursor.json cursor and a
+// version 2 segment header carrying walEpoch. Empty strings skip a file.
+func writeParentFormat(t *testing.T, dir, meta, cursor string, walEpoch uint64) {
+	t.Helper()
+	hdr := []byte("ORDOWAL1")
+	hdr = binary.LittleEndian.AppendUint32(hdr, 2) // version 2: ... | epoch
+	hdr = binary.LittleEndian.AppendUint64(hdr, 1) // incarnation
+	hdr = binary.LittleEndian.AppendUint64(hdr, 1) // segment seq
+	hdr = binary.LittleEndian.AppendUint64(hdr, walEpoch)
+	files := map[string]string{"seg-00000001.wal": string(hdr), "failover.json": meta, "cursor.json": cursor}
+	for name, body := range files {
+		if body == "" {
+			continue
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// requireNoLegacy fails if a converted directory still holds a legacy file.
+func requireNoLegacy(t *testing.T, dir string) {
+	t.Helper()
+	for _, name := range []string{"failover.json", "cursor.json"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Fatalf("%s left behind after conversion: %v", name, err)
+		}
+	}
+}
+
 func TestDecideEpochFromAllSources(t *testing.T) {
-	// The boot epoch is the max over sidecar, WAL segment headers and the
-	// follower cursor, so no regime marker can regress it.
+	// A directory written before the regime record is converted by the
+	// rule those builds booted with: the epoch is the max over sidecar,
+	// WAL segment headers and follower cursor, so no regime marker can
+	// regress it.
 	dir := t.TempDir()
-	dev, err := wal.OpenFile(dir, wal.FileConfig{Epoch: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := wal.New(dev, nil)
-	l.NewHandle().AppendAt(1, []byte("x"))
-	if _, err := l.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	dev.Close()
-	if err := WriteMeta(dir, Meta{Role: "follower", Epoch: 3}); err != nil {
-		t.Fatal(err)
-	}
-	cursorFile := filepath.Join(t.TempDir(), "cursor.json")
-	if err := os.WriteFile(cursorFile, []byte(`{"inc":1,"seq":1,"epoch":4}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b := decideOffline(t, dir, cursorFile, 2)
+	writeParentFormat(t, dir, `{"role":"follower","epoch":3,"prev_inc":0,"prev_seq":0}`,
+		`{"inc":1,"seq":1,"epoch":4}`, 7)
+	b := decideOffline(t, dir, 2)
 	if b.Epoch != 7 {
 		t.Fatalf("epoch = %d, want 7 (WAL header wins the max)", b.Epoch)
 	}
 	if b.Role != server.RoleFollower {
 		t.Fatalf("role = %v, want follower", b.Role)
+	}
+	requireNoLegacy(t, dir)
+	// The cursor dates from epoch 4: in the epoch 7 leader's coordinates
+	// it means nothing.
+	if g := b.Record.Load(); g != (repl.Regime{Role: server.RoleFollower, Epoch: 7}) {
+		t.Fatalf("converted regime %+v", g)
+	}
+}
+
+func TestDecideConvertsParentFormat(t *testing.T) {
+	// An ex-leader's parent-format directory resumes exactly as it did
+	// before the record: leader at its sidecar epoch, regime start kept.
+	dir := t.TempDir()
+	writeParentFormat(t, dir, `{"role":"leader","epoch":5,"prev_inc":1,"prev_seq":9}`, `{"inc":1,"seq":3,"epoch":4}`, 5)
+	b := decideOffline(t, dir, 1)
+	if b.Role != server.RoleLeader || b.Epoch != 5 || b.LeaderIndex != 1 || !b.Resumed || b.Truncated != 0 {
+		t.Fatalf("parent-format leader resume: %+v", b)
+	}
+	if g := b.Record.Load(); g.Start != (repl.Position{Inc: 1, Seq: 9}) {
+		t.Fatalf("converted regime start %+v, want (1, 9)", g.Start)
+	}
+	requireNoLegacy(t, dir)
+
+	// A follower's directory whose cursor is in its epoch's coordinates
+	// keeps it.
+	dir = t.TempDir()
+	writeParentFormat(t, dir, `{"role":"follower","epoch":2,"prev_inc":0,"prev_seq":0}`, `{"inc":2,"seq":478,"epoch":2}`, 2)
+	b = decideOffline(t, dir, 1)
+	if b.Role != server.RoleFollower || b.Epoch != 2 || b.LeaderIndex != 0 {
+		t.Fatalf("parent-format follower: %+v", b)
+	}
+	if g := b.Record.Load(); g.Pos != (repl.Position{Inc: 2, Seq: 478}) {
+		t.Fatalf("converted cursor %+v, want (2, 478)", g.Pos)
+	}
+	requireNoLegacy(t, dir)
+
+	// A corrupt sidecar refuses the boot, as it always has, and is kept.
+	dir = t.TempDir()
+	writeParentFormat(t, dir, "{not json", "", 0)
+	if _, err := Decide(BootstrapConfig{Dir: dir, Peers: []Peer{{Repl: "127.0.0.1:1", Client: "127.0.0.1:2"}}}); err == nil {
+		t.Fatal("Decide booted over a corrupt failover.json")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "failover.json")); err != nil {
+		t.Fatalf("refused conversion removed the sidecar: %v", err)
+	}
+}
+
+func TestDecideRefusesCorruptRecord(t *testing.T) {
+	// A record with no valid slot cannot tell which regime the node
+	// served: refuse to boot rather than guess.
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "regime"), make([]byte, 8192), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Decide(BootstrapConfig{Dir: dir, Peers: []Peer{{Repl: "127.0.0.1:1", Client: "127.0.0.1:2"}}})
+	if !errors.Is(err, repl.ErrRegimeCorrupt) {
+		t.Fatalf("Decide over a corrupt record: %v, want ErrRegimeCorrupt", err)
+	}
+}
+
+func TestDecideNewerRegimeClearsCursor(t *testing.T) {
+	// A follower that restarts into a newer regime holds a cursor in the
+	// old leader's coordinates; the new leader would read it in its own
+	// and skip records. Raising the epoch clears it, so the follower
+	// resubscribes from the origin — a fenced ex-leader whose cursor dates
+	// from an earlier follower stint too.
+	for _, role := range []server.ReplRole{server.RoleFollower, server.RoleNone, server.RoleLeader} {
+		dir := t.TempDir()
+		storeRegime(t, dir, repl.Regime{Role: role, Epoch: 1, Pos: repl.Position{Inc: 2, Seq: 478}})
+		peer := startFakePeer(t, wire.ReplMsg{Kind: wire.ReplStatus, Role: uint64(server.RoleLeader), Epoch: 2,
+			PrevInc: 2, PrevSeq: 500, Addr: "127.0.0.1:7602"})
+		b := mustDecide(t, BootstrapConfig{
+			Dir:   dir,
+			Index: 2,
+			Peers: []Peer{
+				{Repl: "127.0.0.1:1", Client: "127.0.0.1:2"},
+				{Repl: peer.addr(), Client: "127.0.0.1:7602"},
+				{Repl: "127.0.0.1:5", Client: "127.0.0.1:6"},
+			},
+			DialTimeout: 50 * time.Millisecond,
+		})
+		if b.Role != server.RoleFollower || b.Epoch != 2 || b.LeaderIndex != 1 {
+			t.Fatalf("%v joining a newer regime: %+v", role, b)
+		}
+		if g := b.Record.Load(); g != (repl.Regime{Role: server.RoleFollower, Epoch: 2}) {
+			t.Fatalf("%v joining a newer regime recorded %+v, want epoch 2 at the origin", role, g)
+		}
 	}
 }

@@ -32,9 +32,8 @@ type Config struct {
 	// with.
 	Index int
 	Peers []Peer
-	// Dir is the WAL directory; CursorFile the follower cursor sidecar.
-	Dir        string
-	CursorFile string
+	// Dir is the WAL directory.
+	Dir string
 	// DB is the live engine (the follower apply loop's target).
 	DB db.DB
 	// Log and Device are the open local WAL.
@@ -53,7 +52,7 @@ type Config struct {
 	Spans *span.Ring
 	// Boundary reports the local Ordo uncertainty window. Optional.
 	Boundary func() uint64
-	// Boot is the regime Decide fixed for this process.
+	// Boot is the regime Decide fixed and recorded for this process.
 	Boot *Bootstrap
 	// HeartbeatTimeout, DialTimeout, RetryEvery and RetryMax default to
 	// DefaultHeartbeatTimeout, DefaultDialTimeout and the repl package's
@@ -88,13 +87,12 @@ type Node struct {
 	ln   net.Listener
 }
 
-// NewNode builds the supervisor for the regime Decide fixed. It persists
-// the regime sidecar and, for a leader boot, builds the replication
-// Source immediately (installing it as the log's record sink before any
-// serving traffic can flush).
+// NewNode builds the supervisor for the regime Decide fixed. For a leader
+// boot it builds the replication Source immediately (installing it as the
+// log's record sink before any serving traffic can flush).
 func NewNode(cfg Config) (*Node, error) {
 	switch {
-	case cfg.Boot == nil:
+	case cfg.Boot == nil || cfg.Boot.Record == nil:
 		return nil, fmt.Errorf("failover: Config.Boot is required (run Decide first)")
 	case cfg.Index < 0 || cfg.Index >= len(cfg.Peers):
 		return nil, fmt.Errorf("failover: peer index %d outside peer list of %d", cfg.Index, len(cfg.Peers))
@@ -130,38 +128,24 @@ func NewNode(cfg Config) (*Node, error) {
 
 	switch n.role {
 	case server.RoleLeader:
-		meta, err := ReadMeta(cfg.Dir)
-		if err != nil {
-			return nil, err
-		}
-		if meta.Role != "leader" {
-			// First time leading: the regime starts at the log origin.
-			meta = Meta{}
-		}
-		if err := WriteMeta(cfg.Dir, Meta{Role: "leader", Epoch: n.epoch, PrevInc: meta.PrevInc, PrevSeq: meta.PrevSeq}); err != nil {
-			return nil, err
-		}
 		// A resumed regime holds the ack gate until a follower
 		// re-subscribes: the probes that allowed the resume prove no NEW
 		// leader answered, not that no election is completing right now.
-		src, err := n.newSource(n.epoch, meta.PrevInc, meta.PrevSeq, cfg.Boot.Resumed)
+		start := cfg.Boot.Record.Load().Start
+		src, err := n.newSource(n.epoch, start.Inc, start.Seq, cfg.Boot.Resumed)
 		if err != nil {
 			return nil, err
 		}
 		n.src = src
 	case server.RoleFollower:
-		if err := WriteMeta(cfg.Dir, Meta{Role: "follower", Epoch: n.epoch}); err != nil {
-			return nil, err
-		}
 		fol, err := repl.NewFollower(repl.FollowerConfig{
 			Addr:        cfg.Peers[maxInt(n.leaderIdx, 0)].Repl,
 			DB:          cfg.DB,
 			Log:         cfg.Log,
 			State:       cfg.State,
 			Telemetry:   cfg.Telemetry,
-			StateFile:   cfg.CursorFile,
+			Regime:      cfg.Boot.Record,
 			Boundary:    cfg.Boundary,
-			Epoch:       n.epoch,
 			RetryEvery:  cfg.RetryEvery,
 			RetryMax:    cfg.RetryMax,
 			DialTimeout: cfg.DialTimeout,
@@ -332,9 +316,6 @@ func (n *Node) Run(ctx context.Context) error {
 	n.mu.Unlock()
 	if role == server.RoleFollower {
 		n.followLoop(ctx)
-		// Only followLoop writes the cursor; after it returns the follower
-		// is read for its published position alone.
-		n.fol.Close()
 	}
 	n.mu.Lock()
 	role = n.role
@@ -391,8 +372,9 @@ func (n *Node) leaderLoop(ctx context.Context) {
 // and close the Source so every subscriber re-resolves the regime. The
 // local WAL is left untouched — its tail may hold an unshipped suffix in
 // the old stream's coordinates, and truncating requires a closed log — so
-// the sidecar keeps Role "leader" and the node serves reads and NOT_LEADER
-// redirects until a restart runs the fenced-rejoin path in Decide.
+// the regime record keeps RoleLeader and the node serves reads and
+// NOT_LEADER redirects until a restart runs the fenced-rejoin path in
+// Decide.
 func (n *Node) demote(higher uint64, leaderIdx int) {
 	n.cfg.Server.SetReadOnly(true)
 	n.mu.Lock()
@@ -549,12 +531,12 @@ func beats(aE, aI, aS uint64, aIdx int, bE, bI, bS uint64, bIdx int) bool {
 	return aIdx < bIdx
 }
 
-// promote performs the in-place takeover: bump the fencing epoch in the
-// WAL segment headers (the promotion barrier — every record this regime
-// writes is under the new epoch), persist the regime sidecar with the
-// takeover cursor, start streaming, and only then open the serving core
-// for writes. Any failure leaves the node a follower; the next detection
-// round retries.
+// promote performs the in-place takeover: one regime record store moves
+// role, the bumped fencing epoch and the regime start (the takeover
+// cursor) together — the promotion barrier: a restart can never come back
+// up believing in a lower epoch — then streaming starts, and only then
+// does the serving core open for writes. Any failure leaves the node a
+// follower; the next detection round retries.
 func (n *Node) promote(maxEpochSeen uint64) bool {
 	deadFor := n.cfg.State.ContactAge()
 	start := time.Now()
@@ -563,19 +545,17 @@ func (n *Node) promote(maxEpochSeen uint64) bool {
 	n.cfg.Logf("failover: promoting to leader at epoch %d from cursor (%d, %d); leader silent %v",
 		newEpoch, pos.Inc, pos.Seq, deadFor.Round(time.Millisecond))
 
-	if err := n.cfg.Device.SetEpoch(newEpoch); err != nil {
-		n.cfg.Logf("failover: promotion aborted: wal epoch: %v", err)
-		return false
-	}
-	if err := WriteMeta(n.cfg.Dir, Meta{Role: "leader", Epoch: newEpoch, PrevInc: pos.Inc, PrevSeq: pos.Seq}); err != nil {
-		n.cfg.Logf("failover: promotion aborted: sidecar: %v", err)
-		return false
-	}
 	// No gate hold: promotion happens while the cluster is live, and the
 	// election just proved no higher regime exists among reachable peers.
 	src, err := n.newSource(newEpoch, pos.Inc, pos.Seq, false)
 	if err != nil {
 		n.cfg.Logf("failover: promotion aborted: source: %v", err)
+		return false
+	}
+	if err := n.cfg.Boot.Record.Store(repl.Regime{Role: server.RoleLeader, Epoch: newEpoch, Start: pos}); err != nil {
+		n.cfg.Log.SetSink(nil)
+		src.Close()
+		n.cfg.Logf("failover: promotion aborted: %v", err)
 		return false
 	}
 

@@ -3,7 +3,6 @@ package loadgen
 import (
 	"context"
 	"net"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -80,12 +79,16 @@ func startReplPair(t *testing.T) (leaderAddr, followerAddr string) {
 	}
 	flog := wal.New(fdev, nil)
 	fstate := server.NewReplState(server.RoleFollower, 0, time.Second, 1<<20)
+	frec, err := repl.OpenRegime(fdir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fol, err := repl.NewFollower(repl.FollowerConfig{
 		Addr:       replLn.Addr().String(),
 		DB:         fEngine,
 		Log:        flog,
 		State:      fstate,
-		StateFile:  filepath.Join(fdir, "cursor.json"),
+		Regime:     frec,
 		RetryEvery: 20 * time.Millisecond,
 		Logf:       t.Logf,
 	})
@@ -118,6 +121,7 @@ func startReplPair(t *testing.T) (leaderAddr, followerAddr string) {
 		}
 		<-fServeDone
 		fdev.Close()
+		frec.Close()
 	})
 
 	return lln.Addr().String(), fln.Addr().String()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -92,9 +91,14 @@ func TestFollowerCrossLaneReadIsAtomic(t *testing.T) {
 	}
 	fEngine := newEngine()
 	fState := server.NewReplState(server.RoleFollower, 0, time.Second, 1<<20)
+	fRec, err := repl.OpenRegime(fDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fRec.Close()
 	fol, err := repl.NewFollower(repl.FollowerConfig{
 		Addr: replLn.Addr().String(), DB: fEngine, Log: wal.New(fDev, nil), State: fState,
-		StateFile: filepath.Join(fDir, "cursor.json"), RetryEvery: 20 * time.Millisecond, Logf: t.Logf,
+		Regime: fRec, RetryEvery: 20 * time.Millisecond, Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -25,13 +25,11 @@ const (
 	DefaultRetryMax   = 2 * time.Second
 )
 
-// Position is a follower's durable stream cursor: the last leader
-// (incarnation, seq) whose record is appended to the local WAL and
-// replayed into the engine, and the fencing epoch it was applied under.
+// Position is a place in a leader's stream: for a follower's cursor, the
+// last leader (incarnation, seq) whose record is appended to the local
+// WAL and replayed into the engine.
 type Position struct {
-	Inc   uint64 `json:"inc"`
-	Seq   uint64 `json:"seq"`
-	Epoch uint64 `json:"epoch"`
+	Inc, Seq uint64
 }
 
 // Fenced is the error a Session returns when the leader refused the
@@ -78,21 +76,18 @@ type FollowerConfig struct {
 	// a cross-node merger joins against the leader's repl_ship span.
 	// Optional.
 	Spans *span.Ring
-	// StateFile persists the Position cursor: a two-slot record updated
-	// in place and fsynced before every ack (see cursor.go). A lost or
+	// Regime is the node's durable regime record (regime.go): the
+	// follower starts from its epoch and cursor, and stores the cursor in
+	// it, one in-place slot write and fsync, before every ack. A lost or
 	// stale-low cursor only costs a resend — replay is idempotent — but
-	// the epoch it records feeds the bootstrap decision, so every write is
-	// durable before the follower acts on it.
-	StateFile string
+	// the epoch feeds the bootstrap decision, so every store is durable
+	// before the follower acts on it.
+	Regime *RegimeFile
 	// Boundary reports the follower's own Ordo uncertainty window in clock
 	// ticks, already widened for clock-health anomalies by the caller. The
 	// effective window is the max of this and the leader's advertised one.
 	// Optional (0).
 	Boundary func() uint64
-	// Epoch is the fencing epoch this follower believes current at
-	// construction (from its WAL headers); the cursor's persisted epoch
-	// and STATUS frames can only raise it.
-	Epoch uint64
 	// RetryEvery is the initial reconnect backoff; ≤ 0 means
 	// DefaultRetryEvery. RetryMax caps the doubling; ≤ 0 means
 	// DefaultRetryMax.
@@ -132,14 +127,12 @@ type Follower struct {
 	productive     bool // current session handled at least one frame
 
 	recsBuf []wal.Record
-	cursor  *cursorFile // nil without a StateFile
 }
 
-// NewFollower builds a Follower, loading the durable cursor from
-// cfg.StateFile when it exists. Close releases the file.
+// NewFollower builds a Follower at cfg.Regime's epoch and cursor.
 func NewFollower(cfg FollowerConfig) (*Follower, error) {
-	if cfg.Addr == "" || cfg.DB == nil || cfg.Log == nil {
-		return nil, fmt.Errorf("repl: Follower requires Addr, DB and Log")
+	if cfg.Addr == "" || cfg.DB == nil || cfg.Log == nil || cfg.Regime == nil {
+		return nil, fmt.Errorf("repl: Follower requires Addr, DB, Log and Regime")
 	}
 	if cfg.RetryEvery <= 0 {
 		cfg.RetryEvery = DefaultRetryEvery
@@ -153,34 +146,10 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	f := &Follower{cfg: cfg, h: cfg.Log.NewHandle()}
-	if cfg.StateFile != "" {
-		c, pos, err := openCursor(cfg.StateFile)
-		switch {
-		case errors.Is(err, errCursorCorrupt):
-			// A corrupt cursor is recoverable: resume from (0, 0) and let
-			// idempotent replay absorb the resend.
-			cfg.Logf("repl: cursor %s: %v, resuming from scratch", cfg.StateFile, err)
-		case err != nil:
-			return nil, err
-		}
-		f.cursor, f.pos = c, pos
-	}
-	f.epoch = cfg.Epoch
-	if f.pos.Epoch > f.epoch {
-		f.epoch = f.pos.Epoch
-	}
+	g := cfg.Regime.Load()
+	f := &Follower{cfg: cfg, h: cfg.Log.NewHandle(), epoch: g.Epoch, pos: g.Pos}
 	f.publish()
 	return f, nil
-}
-
-// Close releases the cursor file. Call it once no Session or Converge can
-// run any more.
-func (f *Follower) Close() error {
-	if f.cursor == nil {
-		return nil
-	}
-	return f.cursor.close()
 }
 
 // publish snapshots the cursor and epoch for cross-goroutine readers.
@@ -207,16 +176,6 @@ func (f *Follower) Epoch() uint64 {
 	return f.pubEpoch
 }
 
-// AdoptEpoch raises the follower's epoch (a lower value is ignored) —
-// called by the failover layer, between Sessions, after it learns a new
-// regime out of band.
-func (f *Follower) AdoptEpoch(e uint64) {
-	if e > f.epoch {
-		f.epoch = e
-		f.publish()
-	}
-}
-
 // Retarget points the next Session at a different leader address. Call it
 // only between Sessions, from the goroutine that drives them — the
 // failover layer's re-election path.
@@ -238,7 +197,7 @@ func (f *Follower) Converge(e *Fenced) error {
 	f.cfg.Logf("repl: converging on epoch %d regime (was %d): resetting cursor (%d, %d)",
 		e.Epoch, f.epoch, f.pos.Inc, f.pos.Seq)
 	f.epoch = e.Epoch
-	f.pos = Position{Epoch: e.Epoch}
+	f.pos = Position{}
 	f.publish()
 	return f.persistPos()
 }
@@ -408,7 +367,7 @@ func (f *Follower) applyBatch(m *wire.ReplMsg) error {
 	if _, err := server.Replay(f.cfg.DB, recs); err != nil {
 		return fmt.Errorf("repl: apply: %w", err)
 	}
-	f.pos = Position{Inc: m.Inc, Seq: m.Recs[len(m.Recs)-1].Seq, Epoch: f.epoch}
+	f.pos = Position{Inc: m.Inc, Seq: m.Recs[len(m.Recs)-1].Seq}
 	f.publish()
 	if err := f.persistPos(); err != nil {
 		return err
@@ -440,15 +399,13 @@ func (f *Follower) applyBatch(m *wire.ReplMsg) error {
 	return nil
 }
 
-// persistPos makes the cursor durable: one in-place slot write and fsync.
-// It runs after the batch is flushed and replayed and before the ack, so
-// the cursor is never ahead of the local log, and the epoch it carries
-// feeds the bootstrap epoch max.
+// persistPos makes the cursor and the epoch it is in durable: one
+// in-place record store. It runs after the batch is flushed and replayed
+// and before the ack, so the cursor is never ahead of the local log.
 func (f *Follower) persistPos() error {
-	if f.cursor == nil {
-		return nil
-	}
-	return f.cursor.store(f.pos)
+	g := f.cfg.Regime.Load()
+	g.Epoch, g.Pos = f.epoch, f.pos
+	return f.cfg.Regime.Store(g)
 }
 
 // publishLag posts how far the apply cursor trails the leader's advertised

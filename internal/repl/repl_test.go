@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"net"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -136,6 +135,7 @@ type followerHarness struct {
 	dir    string
 	engine db.DB
 	dev    *wal.FileDevice
+	rec    *repl.RegimeFile
 	state  *server.ReplState
 	fol    *repl.Follower
 	srv    *server.Server
@@ -166,13 +166,17 @@ func startFollower(t *testing.T, dir, leaderAddr string, ring *span.Ring) *follo
 		t.Fatal(err)
 	}
 	log := wal.New(dev, nil)
+	rec, err := repl.OpenRegime(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	state := server.NewReplState(server.RoleFollower, 0, time.Second, 1<<20)
 	fol, err := repl.NewFollower(repl.FollowerConfig{
 		Addr:       leaderAddr,
 		DB:         engine,
 		Log:        log,
 		State:      state,
-		StateFile:  filepath.Join(dir, "cursor.json"),
+		Regime:     rec,
 		RetryEvery: 20 * time.Millisecond,
 		Spans:      ring,
 		Logf:       t.Logf,
@@ -196,7 +200,7 @@ func startFollower(t *testing.T, dir, leaderAddr string, ring *span.Ring) *follo
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	h := &followerHarness{
-		t: t, dir: dir, engine: engine, dev: dev, state: state, fol: fol,
+		t: t, dir: dir, engine: engine, dev: dev, rec: rec, state: state, fol: fol,
 		srv: srv, addr: ln.Addr().String(),
 		cancel: cancel, runDone: make(chan struct{}), serveDone: make(chan error, 1),
 	}
@@ -220,6 +224,9 @@ func (h *followerHarness) stop() {
 	<-h.serveDone
 	if err := h.dev.Close(); err != nil {
 		h.t.Fatalf("follower wal close: %v", err)
+	}
+	if err := h.rec.Close(); err != nil {
+		h.t.Fatalf("follower regime record close: %v", err)
 	}
 }
 
@@ -516,14 +523,22 @@ func TestStaleRejectNotContact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dev.Close()
+	rec, err := repl.OpenRegime(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if err := rec.Store(repl.Regime{Role: server.RoleFollower, Epoch: 5}); err != nil {
+		t.Fatal(err)
+	}
 	state := server.NewReplState(server.RoleFollower, 0, time.Second, 1<<20)
 	fol, err := repl.NewFollower(repl.FollowerConfig{
-		Addr:  ln.Addr().String(),
-		DB:    engine,
-		Log:   wal.New(dev, nil),
-		State: state,
-		Epoch: 5,
-		Logf:  t.Logf,
+		Addr:   ln.Addr().String(),
+		DB:     engine,
+		Log:    wal.New(dev, nil),
+		State:  state,
+		Regime: rec,
+		Logf:   t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)

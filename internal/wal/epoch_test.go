@@ -20,102 +20,80 @@ func appendN(t *testing.T, l *Log, h *Handle, base, n int) {
 	}
 }
 
-func TestEpochPersistsAcrossBumpAndReopen(t *testing.T) {
-	dir := t.TempDir()
-	d := openTestDevice(t, dir, FileConfig{})
-	if d.Epoch() != 0 {
-		t.Fatalf("fresh device epoch %d, want 0", d.Epoch())
+// writeFixtureSegment writes segment seq of incarnation inc as an older
+// build would: a version 1 header, or a version 2 header carrying epoch,
+// followed by recs.
+func writeFixtureSegment(t *testing.T, dir string, seq, inc uint64, version uint32, epoch uint64, recs []Record) {
+	t.Helper()
+	buf := make([]byte, segHeaderLen, segHeaderV2Len)
+	copy(buf[:8], segMagic)
+	binary.LittleEndian.PutUint32(buf[8:12], version)
+	binary.LittleEndian.PutUint64(buf[12:20], inc)
+	binary.LittleEndian.PutUint64(buf[20:28], seq)
+	if version == segVersion2 {
+		buf = binary.LittleEndian.AppendUint64(buf, epoch)
 	}
-	l := New(d, oplog.RawTSC{})
-	h := l.NewHandle()
-	appendN(t, l, h, 0, 5)
-	if err := d.SetEpoch(2); err != nil {
+	for i := range recs {
+		buf = appendFrame(buf, &recs[i])
+	}
+	if err := os.WriteFile(segPath(dir, seq), buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	appendN(t, l, h, 5, 5)
-	if err := d.SetEpoch(2); err != nil {
-		t.Fatalf("re-setting the current epoch: %v", err)
-	}
-	if err := d.SetEpoch(1); err == nil {
-		t.Fatal("lowering the epoch was accepted")
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Recovery sees every record from both sides of the bump and reports
-	// the max epoch; the standalone header scan agrees.
-	recs, info, err := Recover(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Records != 10 || info.MaxEpoch != 2 {
-		t.Fatalf("info = %+v, want 10 records at max epoch 2", info)
-	}
-	for i, r := range recs {
-		if r.Data[0] != byte(i) {
-			t.Fatalf("record %d carries payload %d", i, r.Data[0])
-		}
-	}
-	if e, err := MaxEpoch(dir); err != nil || e != 2 {
-		t.Fatalf("MaxEpoch = (%d, %v), want 2", e, err)
-	}
-
-	// A reopened device adopts the on-disk epoch even when the config
-	// says less, and a higher configured epoch wins.
-	d2 := openTestDevice(t, dir, FileConfig{})
-	if d2.Epoch() != 2 {
-		t.Fatalf("reopened epoch %d, want 2 from disk", d2.Epoch())
-	}
-	d2.Close()
-	d3 := openTestDevice(t, dir, FileConfig{Epoch: 7})
-	if d3.Epoch() != 7 {
-		t.Fatalf("reopened epoch %d, want configured 7", d3.Epoch())
-	}
-	d3.Close()
 }
 
-// TestV1SegmentReadsAsEpochZero keeps the upgrade path honest: a
-// pre-epoch (version 1) segment written by an older build must recover
-// unchanged, as epoch 0.
+// fixtureRecs returns n single-byte records of one handle, payloads and
+// LSNs starting at base.
+func fixtureRecs(base, n int) []Record {
+	recs := make([]Record, n)
+	for i := range recs {
+		k := uint64(base + i)
+		recs[i] = Record{TS: 10 + k, H: 1, Seq: k + 1, LSN: k + 1, Data: []byte{byte(k)}}
+	}
+	return recs
+}
+
+// TestV1SegmentReadsAsEpochZero keeps the upgrade path honest: segments
+// written by older builds — version 1, and version 2 with its epoch —
+// recover unchanged next to the writer's, and only version 2 headers
+// report an epoch to the regime record's legacy conversion.
 func TestV1SegmentReadsAsEpochZero(t *testing.T) {
 	dir := t.TempDir()
-	buf := make([]byte, segHeaderV1Len)
-	copy(buf[:8], segMagic)
-	binary.LittleEndian.PutUint32(buf[8:12], segVersion1)
-	binary.LittleEndian.PutUint64(buf[12:20], 1) // incarnation
-	binary.LittleEndian.PutUint64(buf[20:28], 1) // segment seq
-	for i := 0; i < 3; i++ {
-		buf = appendFrame(buf, &Record{TS: uint64(10 + i), H: 1, Seq: uint64(i + 1), LSN: uint64(i + 1), Data: []byte{byte(i)}})
-	}
-	if err := os.WriteFile(segPath(dir, 1), buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeFixtureSegment(t, dir, 1, 1, segVersion1, 0, fixtureRecs(0, 3))
 	recs, info, err := Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Records != 3 || info.MaxEpoch != 0 {
-		t.Fatalf("info = %+v, want 3 records at epoch 0", info)
+	if e, err := LegacyEpoch(dir); info.Records != 3 || e != 0 || err != nil {
+		t.Fatalf("info = %+v, legacy epoch (%d, %v), want 3 records at epoch 0", info, e, err)
 	}
 	for i, r := range recs {
 		if r.Data[0] != byte(i) {
 			t.Fatalf("record %d carries payload %d", i, r.Data[0])
 		}
 	}
-	// A new writer on top of the v1 history bumps to v2 headers without
-	// disturbing the old records.
-	d := openTestDevice(t, dir, FileConfig{Epoch: 3})
+	// A version 2 segment of a later incarnation, then the writer's own.
+	writeFixtureSegment(t, dir, 2, 2, segVersion2, 3, fixtureRecs(3, 2))
+	d := openTestDevice(t, dir, FileConfig{})
+	if d.Incarnation() != 3 {
+		t.Fatalf("writer incarnation %d over incarnations 1 and 2, want 3", d.Incarnation())
+	}
 	l := New(d, oplog.RawTSC{})
-	h := l.NewHandle()
-	appendN(t, l, h, 3, 2)
+	appendN(t, l, l.NewHandle(), 5, 2)
 	d.Close()
 	recs, info, err = Recover(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Records != 5 || info.MaxEpoch != 3 {
-		t.Fatalf("after v2 append: info = %+v, want 5 records at epoch 3", info)
+	if info.Records != 7 || info.Incarnations != 3 {
+		t.Fatalf("mixed versions: info = %+v, want 7 records in 3 incarnations", info)
+	}
+	for i, r := range recs {
+		if r.Data[0] != byte(i) {
+			t.Fatalf("record %d carries payload %d", i, r.Data[0])
+		}
+	}
+	if e, err := LegacyEpoch(dir); e != 3 || err != nil {
+		t.Fatalf("legacy epoch (%d, %v), want 3 from the version 2 header", e, err)
 	}
 }
 
@@ -123,30 +101,23 @@ func TestV1SegmentReadsAsEpochZero(t *testing.T) {
 // wrote records across two incarnations, the new leader's cursor covers
 // only a prefix, and the old tail must be cut without touching anything
 // at or before the cursor — idempotently, because a crash mid-truncation
-// re-runs it.
+// re-runs it. Incarnation 1 is two version 2 segments from an older build
+// whose epoch was bumped between them.
 func TestTruncateAfterEpochBump(t *testing.T) {
 	dir := t.TempDir()
 
-	// Incarnation 1: 6 records, under epoch 1 after a mid-stream bump.
-	d := openTestDevice(t, dir, FileConfig{})
-	inc1 := d.Incarnation()
-	l := New(d, oplog.RawTSC{})
-	h := l.NewHandle()
-	appendN(t, l, h, 0, 3)
-	if err := d.SetEpoch(1); err != nil {
-		t.Fatal(err)
-	}
-	appendN(t, l, h, 3, 3)
-	d.Close()
+	// Incarnation 1: 6 records, the last 3 under epoch 1.
+	const inc1 = 1
+	writeFixtureSegment(t, dir, 1, inc1, segVersion2, 0, fixtureRecs(0, 3))
+	writeFixtureSegment(t, dir, 2, inc1, segVersion2, 1, fixtureRecs(3, 3))
 
 	// Incarnation 2: 4 more records — the unshipped suffix regime.
-	d = openTestDevice(t, dir, FileConfig{})
+	d := openTestDevice(t, dir, FileConfig{})
 	if d.Incarnation() != inc1+1 {
 		t.Fatalf("second open incarnation %d, want %d", d.Incarnation(), inc1+1)
 	}
-	l = New(d, oplog.RawTSC{})
-	h = l.NewHandle()
-	appendN(t, l, h, 6, 4)
+	l := New(d, oplog.RawTSC{})
+	appendN(t, l, l.NewHandle(), 6, 4)
 	d.Close()
 
 	// The new leader acknowledged through (inc1, 4): drop record 5-6 of
@@ -169,9 +140,6 @@ func TestTruncateAfterEpochBump(t *testing.T) {
 		if r.Data[0] != byte(i) {
 			t.Fatalf("kept record %d carries payload %d — an acked record was dropped or reordered", i, r.Data[0])
 		}
-	}
-	if info.MaxEpoch != 1 {
-		t.Fatalf("truncation regressed the on-disk epoch to %d", info.MaxEpoch)
 	}
 
 	// Idempotence: re-running at the same position changes nothing.
@@ -205,8 +173,15 @@ func TestTruncateAfterEpochBump(t *testing.T) {
 		}
 	}
 
-	// Truncating beyond the tail is a no-op.
+	// Truncating beyond the tail is a no-op; truncating after (0, 0)
+	// empties the log.
 	if dropped, err = TruncateAfter(dir, inc1+5, 99); err != nil || dropped != 0 {
 		t.Fatalf("beyond-tail truncation: dropped=%d err=%v", dropped, err)
+	}
+	if dropped, err = TruncateAfter(dir, 0, 0); err != nil || dropped != 4 {
+		t.Fatalf("truncation to the origin: dropped=%d err=%v, want 4", dropped, err)
+	}
+	if recs, _, err := Recover(dir); err != nil || len(recs) != 0 {
+		t.Fatalf("after truncation to the origin: %d records, %v", len(recs), err)
 	}
 }

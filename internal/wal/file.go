@@ -18,8 +18,7 @@ import (
 // On-disk layout. A log directory holds segments named seg-%08d.wal. Each
 // segment starts with a fixed header:
 //
-//	v1: magic "ORDOWAL1" (8) | version u32 | incarnation u64 | segment seq u64
-//	v2: v1 header | epoch u64
+//	magic "ORDOWAL1" (8) | version u32 | incarnation u64 | segment seq u64
 //
 // followed by record frames:
 //
@@ -29,15 +28,15 @@ import (
 // payload. All integers are little-endian. `incarnation` increments each
 // time the directory is opened for writing; it scopes the (H, Seq) dedupe
 // key and the timestamp order, both of which restart with the process.
-// `epoch` is the failover fencing epoch the segment was written under; v1
-// segments (pre-failover) read as epoch 0. The writer always emits v2.
+// The writer emits version 1. Version 2 headers, written by builds that
+// kept the failover epoch here before the regime record held it, append
+// an epoch u64 that only LegacyEpoch reads.
 const (
 	segMagic       = "ORDOWAL1"
 	segVersion1    = 1
 	segVersion2    = 2
-	segVersion     = segVersion2
-	segHeaderV1Len = 8 + 4 + 8 + 8
-	segHeaderLen   = segHeaderV1Len + 8
+	segHeaderLen   = 8 + 4 + 8 + 8
+	segHeaderV2Len = segHeaderLen + 8
 	recHeaderLen   = 4 + 4 + 8 + 4 + 8 + 8
 
 	// MaxRecordData bounds one record's payload; a recovered length field
@@ -76,12 +75,6 @@ type FileConfig struct {
 	SyncEvery    time.Duration // SyncBatched cadence (default 2ms)
 	Chaos        *Chaos        // fault injection; nil in production
 
-	// Epoch is the failover fencing epoch stamped into every segment
-	// header this device writes. The device opens at the max of this and
-	// the highest epoch already recorded on disk, so a restart can never
-	// regress the regime. Zero outside failover mode.
-	Epoch uint64
-
 	// SyncObserver, when set, receives every attempted fsync's duration
 	// and outcome — the telemetry series that shows fsync stalls, which a
 	// flush-level view blurs together with the write. Called with the
@@ -101,7 +94,6 @@ type FileDevice struct {
 	f           *os.File
 	segSeq      uint64
 	incarnation uint64
-	epoch       uint64
 	size        int64 // bytes written to the current segment, torn tail included
 	good        int64 // prefix of size that is whole, valid frames
 	dirty       bool  // bytes written since the last successful fsync
@@ -127,24 +119,16 @@ func OpenFile(dir string, cfg FileConfig) (*FileDevice, error) {
 	if err != nil {
 		return nil, err
 	}
-	var maxSeq, maxInc, maxEpoch uint64
+	var maxSeq, maxInc uint64
 	for _, s := range segs {
 		if s.seq > maxSeq {
 			maxSeq = s.seq
 		}
-		if hdr, err := readSegHeader(s.path); err == nil {
-			if hdr.incarnation > maxInc {
-				maxInc = hdr.incarnation
-			}
-			if hdr.epoch > maxEpoch {
-				maxEpoch = hdr.epoch
-			}
+		if hdr, err := readSegHeader(s.path); err == nil && hdr.incarnation > maxInc {
+			maxInc = hdr.incarnation
 		}
 	}
-	if cfg.Epoch > maxEpoch {
-		maxEpoch = cfg.Epoch
-	}
-	d := &FileDevice{dir: dir, cfg: cfg, segSeq: maxSeq, incarnation: maxInc + 1, epoch: maxEpoch}
+	d := &FileDevice{dir: dir, cfg: cfg, segSeq: maxSeq, incarnation: maxInc + 1}
 	if err := d.openSegmentLocked(); err != nil {
 		return nil, err
 	}
@@ -158,41 +142,6 @@ func OpenFile(dir string, cfg FileConfig) (*FileDevice, error) {
 
 // Incarnation returns the device's incarnation number.
 func (d *FileDevice) Incarnation() uint64 { return d.incarnation }
-
-// Epoch returns the fencing epoch the device is writing under.
-func (d *FileDevice) Epoch() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.epoch
-}
-
-// SetEpoch raises the device's fencing epoch and rotates to a fresh
-// segment so the new epoch is durable in a segment header before any
-// record is written under it — the promotion barrier: once SetEpoch
-// returns, a restart of this process can never come back up believing in
-// a lower epoch. Lowering the epoch is refused; setting the current epoch
-// is a no-op.
-func (d *FileDevice) SetEpoch(e uint64) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.failed != nil {
-		return d.failed
-	}
-	if e == d.epoch {
-		return nil
-	}
-	if e < d.epoch {
-		return fmt.Errorf("wal: cannot lower epoch %d to %d", d.epoch, e)
-	}
-	if err := d.syncLocked(); err != nil {
-		return err
-	}
-	if err := d.f.Close(); err != nil {
-		return fmt.Errorf("wal: close %s: %w", d.f.Name(), err)
-	}
-	d.epoch = e
-	return d.openSegmentLocked()
-}
 
 // Write implements Device. On error the segment may hold a prefix of the
 // batch (whole frames) or a torn frame; the torn bytes are truncated away
@@ -370,13 +319,7 @@ func (d *FileDevice) openSegmentLocked() error {
 	if err != nil {
 		return fmt.Errorf("wal: create segment: %w", err)
 	}
-	var hdr [segHeaderLen]byte
-	copy(hdr[:8], segMagic)
-	binary.LittleEndian.PutUint32(hdr[8:12], segVersion)
-	binary.LittleEndian.PutUint64(hdr[12:20], d.incarnation)
-	binary.LittleEndian.PutUint64(hdr[20:28], d.segSeq)
-	binary.LittleEndian.PutUint64(hdr[28:36], d.epoch)
-	if _, err := f.Write(hdr[:]); err != nil {
+	if _, err := f.Write(appendSegHeader(nil, d.incarnation, d.segSeq)); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: write segment header: %w", err)
 	}
@@ -386,13 +329,21 @@ func (d *FileDevice) openSegmentLocked() error {
 		f.Close()
 		return fmt.Errorf("wal: sync segment header: %w", err)
 	}
-	if err := syncDir(d.dir); err != nil {
+	if err := SyncDir(d.dir); err != nil {
 		f.Close()
 		return err
 	}
 	d.f = f
 	d.size, d.good, d.dirty = segHeaderLen, segHeaderLen, false
 	return nil
+}
+
+// appendSegHeader encodes a segment header onto dst.
+func appendSegHeader(dst []byte, inc, seq uint64) []byte {
+	dst = append(dst, segMagic...)
+	dst = binary.LittleEndian.AppendUint32(dst, segVersion1)
+	dst = binary.LittleEndian.AppendUint64(dst, inc)
+	return binary.LittleEndian.AppendUint64(dst, seq)
 }
 
 // appendFrame encodes one record frame onto dst.
@@ -411,12 +362,11 @@ func appendFrame(dst []byte, r *Record) []byte {
 
 // RecoveryInfo summarizes what Recover found and repaired.
 type RecoveryInfo struct {
-	Records        int    // records returned after dedupe
-	Duplicates     int    // (H, Seq) duplicates dropped (retried flushes)
-	TruncatedBytes int64  // torn-tail bytes truncated from the last segment
-	Segments       int    // segment files scanned
-	Incarnations   int    // distinct writer incarnations seen
-	MaxEpoch       uint64 // highest fencing epoch in any segment header
+	Records        int   // records returned after dedupe
+	Duplicates     int   // (H, Seq) duplicates dropped (retried flushes)
+	TruncatedBytes int64 // torn-tail bytes truncated from the last segment
+	Segments       int   // segment files scanned
+	Incarnations   int   // distinct writer incarnations seen
 }
 
 // Recover scans a log directory and returns the replayable record
@@ -461,9 +411,6 @@ func Recover(dir string) ([]Record, RecoveryInfo, error) {
 		if !valid {
 			continue
 		}
-		if hdr.epoch > info.MaxEpoch {
-			info.MaxEpoch = hdr.epoch
-		}
 		g := byInc[hdr.incarnation]
 		if g == nil {
 			g = &group{inc: hdr.incarnation}
@@ -501,7 +448,7 @@ func readSegment(path string, wantSeq uint64, last bool) (recs []Record, hdr seg
 	if err != nil {
 		return nil, hdr, 0, false, err
 	}
-	if len(buf) < segHeaderV1Len || string(buf[:8]) != segMagic {
+	if len(buf) < segHeaderLen || string(buf[:8]) != segMagic {
 		if len(buf) == 0 {
 			return nil, hdr, 0, false, nil // truncated to nothing by an earlier recovery
 		}
@@ -510,19 +457,17 @@ func readSegment(path string, wantSeq uint64, last bool) (recs []Record, hdr seg
 		}
 		return nil, hdr, 0, false, fmt.Errorf("wal: %s: bad segment header", path)
 	}
-	var hdrLen int
+	hdrLen := segHeaderLen
 	switch v := binary.LittleEndian.Uint32(buf[8:12]); v {
 	case segVersion1:
-		hdrLen = segHeaderV1Len
 	case segVersion2:
-		hdrLen = segHeaderLen
+		hdrLen = segHeaderV2Len
 		if len(buf) < hdrLen {
 			if last {
 				return nil, hdr, 0, false, nil // torn header: caller truncates to zero
 			}
 			return nil, hdr, 0, false, fmt.Errorf("wal: %s: bad segment header", path)
 		}
-		hdr.epoch = binary.LittleEndian.Uint64(buf[28:36])
 	default:
 		return nil, hdr, 0, false, fmt.Errorf("wal: %s: unsupported segment version %d", path, v)
 	}
@@ -596,7 +541,7 @@ func segPath(dir string, seq uint64) string {
 type segHeader struct {
 	incarnation uint64
 	seq         uint64
-	epoch       uint64
+	epoch       uint64 // version 2 headers only
 }
 
 func readSegHeader(path string) (segHeader, error) {
@@ -611,8 +556,8 @@ func readSegHeader(path string) (segHeader, error) {
 	// an incarnation number and weakening the (H, Seq) dedupe scope. The
 	// buffer is the max header size; a v1 segment may legally be shorter,
 	// so read the version-independent prefix first.
-	var buf [segHeaderLen]byte
-	if _, err := io.ReadFull(f, buf[:segHeaderV1Len]); err != nil {
+	var buf [segHeaderV2Len]byte
+	if _, err := io.ReadFull(f, buf[:segHeaderLen]); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return segHeader{}, fmt.Errorf("wal: %s: short segment header", path)
 		}
@@ -626,7 +571,7 @@ func readSegHeader(path string) (segHeader, error) {
 		seq:         binary.LittleEndian.Uint64(buf[20:28]),
 	}
 	if binary.LittleEndian.Uint32(buf[8:12]) == segVersion2 {
-		if _, err := io.ReadFull(f, buf[segHeaderV1Len:]); err != nil {
+		if _, err := io.ReadFull(f, buf[segHeaderLen:]); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 				return segHeader{}, fmt.Errorf("wal: %s: short segment header", path)
 			}
@@ -637,12 +582,13 @@ func readSegHeader(path string) (segHeader, error) {
 	return hdr, nil
 }
 
-// MaxEpoch scans a log directory's segment headers and returns the
-// highest fencing epoch recorded, without replaying anything. A missing
-// directory is epoch 0. Unreadable headers (the torn last segment a crash
-// can leave) are skipped — a torn header means no record was ever written
-// under it, so it cannot hide a higher epoch that mattered.
-func MaxEpoch(dir string) (uint64, error) {
+// LegacyEpoch returns the highest failover fencing epoch in a log
+// directory's version 2 segment headers, the one place builds before the
+// regime record kept it besides their own sidecars; the record's one-time
+// conversion reads it. A missing directory is epoch 0. Unreadable headers
+// (the torn last segment a crash can leave) are skipped — a torn header
+// means no record was ever written under it.
+func LegacyEpoch(dir string) (uint64, error) {
 	segs, err := listSegments(dir)
 	if os.IsNotExist(err) {
 		return 0, nil
@@ -663,9 +609,9 @@ func MaxEpoch(dir string) (uint64, error) {
 	return max, nil
 }
 
-// syncDir fsyncs a directory so a freshly created segment's entry is
-// durable.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory so a freshly created or renamed entry in it
+// is durable.
+func SyncDir(dir string) error {
 	f, err := os.Open(dir)
 	if err != nil {
 		return err

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 )
@@ -21,10 +20,8 @@ import (
 // a crash at any point leaves a directory where re-running TruncateAfter
 // with the same position converges to the same state (leftover later
 // segments are re-deleted; duplicate records are compacted away by the
-// canonical (H, Seq) dedupe). The rewritten segment header carries the
-// highest epoch seen anywhere in the directory, so a truncation can never
-// regress the on-disk fencing epoch. Calling with a position at or beyond
-// the tail is a no-op.
+// canonical (H, Seq) dedupe). Calling with a position at or beyond the
+// tail is a no-op, and (0, 0) empties the log.
 //
 // It must only run while no writer has the directory open.
 func TruncateAfter(dir string, afterInc, afterSeq uint64) (dropped int, err error) {
@@ -41,7 +38,6 @@ func TruncateAfter(dir string, afterInc, afterSeq uint64) (dropped int, err erro
 		dropSegs   []segFile // segments of later incarnations, or headerless
 		targetRecs []Record
 		dropRecs   int
-		maxEpoch   uint64
 	)
 	for i, s := range segs {
 		last := i == len(segs)-1
@@ -54,9 +50,6 @@ func TruncateAfter(dir string, afterInc, afterSeq uint64) (dropped int, err erro
 			// lives here, so it is safe to clear out.
 			dropSegs = append(dropSegs, s)
 			continue
-		}
-		if hdr.epoch > maxEpoch {
-			maxEpoch = hdr.epoch
 		}
 		switch {
 		case hdr.incarnation < afterInc:
@@ -89,7 +82,7 @@ func TruncateAfter(dir string, afterInc, afterSeq uint64) (dropped int, err erro
 
 	if len(targetSegs) > 0 && cut < len(targetRecs) {
 		// Rewrite the target incarnation into its first segment slot.
-		if err := rewriteSegment(dir, targetSegs[0].seq, afterInc, maxEpoch, kept); err != nil {
+		if err := rewriteSegment(dir, targetSegs[0].seq, afterInc, kept); err != nil {
 			return dropped, err
 		}
 		for _, s := range targetSegs[1:] {
@@ -103,27 +96,21 @@ func TruncateAfter(dir string, afterInc, afterSeq uint64) (dropped int, err erro
 			return dropped, fmt.Errorf("wal: truncate remove %s: %w", s.path, err)
 		}
 	}
-	if err := syncDir(dir); err != nil {
+	if err := SyncDir(dir); err != nil {
 		return dropped, err
 	}
 	return dropped, nil
 }
 
 // rewriteSegment atomically replaces segment seq with one holding exactly
-// recs under the given incarnation and epoch.
-func rewriteSegment(dir string, seq, inc, epoch uint64, recs []Record) error {
+// recs under the given incarnation.
+func rewriteSegment(dir string, seq, inc uint64, recs []Record) error {
 	tmp, err := os.CreateTemp(dir, "seg-rewrite-*.tmp")
 	if err != nil {
 		return fmt.Errorf("wal: truncate temp: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	var hdr [segHeaderLen]byte
-	copy(hdr[:8], segMagic)
-	binary.LittleEndian.PutUint32(hdr[8:12], segVersion)
-	binary.LittleEndian.PutUint64(hdr[12:20], inc)
-	binary.LittleEndian.PutUint64(hdr[20:28], seq)
-	binary.LittleEndian.PutUint64(hdr[28:36], epoch)
-	buf := append([]byte(nil), hdr[:]...)
+	buf := appendSegHeader(nil, inc, seq)
 	for i := range recs {
 		buf = appendFrame(buf, &recs[i])
 	}
