@@ -535,6 +535,16 @@ func (s *Source) sendBackfill(w *frameWriter, afterInc, afterSeq, gate uint64) e
 
 // sendLive ships one flushed batch from the current incarnation.
 func (s *Source) sendLive(w *frameWriter, recs []wal.Record) error {
+	// Ship spans are stamped before the first frame is written: a follower
+	// may receive, apply and stamp its apply span before this goroutine runs
+	// again, and a ship timestamp taken after the write could then fall
+	// certainly after that apply. One clock read covers the whole delivery;
+	// the spans are recorded only once every frame is on the socket.
+	var shipTS, shipUnc uint64
+	ring := s.cfg.Spans
+	if ring != nil {
+		shipTS, shipUnc = ring.Now()
+	}
 	var batch []wire.ReplRecord
 	var bytes int
 	flush := func() error {
@@ -570,20 +580,13 @@ func (s *Source) sendLive(w *frameWriter, recs []wal.Record) error {
 	if err := flush(); err != nil {
 		return err
 	}
-	// Ship spans are recorded after the frames are on the socket, so the
-	// span's timestamp bounds when the bytes actually left this node. One
-	// clock read covers the whole delivery.
-	if ring := s.cfg.Spans; ring != nil {
-		var now, unc uint64
-		for i := range recs {
-			if recs[i].Trace == 0 {
-				continue
-			}
-			if now == 0 {
-				now, unc = ring.Now()
-			}
+	if ring == nil {
+		return nil
+	}
+	for i := range recs {
+		if recs[i].Trace != 0 {
 			ring.Record(span.Span{Trace: span.TraceID(recs[i].Trace), Stage: span.StageShip,
-				TS: now, Unc: unc, Lane: -1})
+				TS: shipTS, Unc: shipUnc, Lane: -1})
 		}
 	}
 	return nil

@@ -71,6 +71,11 @@ func TestCatalogueAgreement(t *testing.T) {
 	if stats["ordod_cross_shard_txns_total"] == 0 || stats["ordod_wal_records_total"] == 0 {
 		t.Fatalf("load did not cross lanes durably: %v", stats)
 	}
+	// The cross-lane read took its first pass; the fallback series is in the
+	// catalogue all the same, at zero.
+	if n, ok := stats["ordod_cross_shard_parked_reads_total"]; !ok || n != 0 {
+		t.Fatalf("STATS ordod_cross_shard_parked_reads_total = %d (present %v), want 0", n, ok)
+	}
 	c.CloseConn()
 	waitFor(t, "connection teardown", func() bool { return counters(srv)["ordod_conns_active"] == 0 })
 

@@ -521,17 +521,34 @@ func (c *serverConn) noteWriteError(err error) {
 	c.srv.logf("server: %v: write: %v", c.nc.RemoteAddr(), err)
 }
 
-// popRun pops the next execution unit under c.mu: either one special item
-// (shed, protocol error, TXN, STATS) or a maximal contiguous run of simple
-// ops up to MaxBatch, classified by the peeked opcode byte. It reports
-// whether the queue drained.
-func (c *serverConn) popRun() ([]item, bool) {
-	special := func(it *item) bool {
-		return it.shed || it.protoErr || !it.op.Simple()
+// Run kinds, by which popRun folds queued items into execution units.
+const (
+	runAlone  = iota // shed, protocol error, STATS: a run of its own
+	runSimple        // pipelined simple ops
+	runTxn           // TXN frames
+)
+
+// runKind classifies an item by its flags and peeked opcode byte.
+func (it *item) runKind() int {
+	switch {
+	case it.shed || it.protoErr:
+		return runAlone
+	case it.op.Simple():
+		return runSimple
+	case it.op == wire.OpTxn:
+		return runTxn
 	}
+	return runAlone
+}
+
+// popRun pops the next execution unit under c.mu: one item that runs alone
+// (shed, protocol error, STATS) or a maximal contiguous run of simple ops
+// or of TXN frames, up to MaxBatch. It reports whether the queue drained.
+func (c *serverConn) popRun() ([]item, bool) {
+	kind := c.pending[0].runKind()
 	n := 1
-	if !special(&c.pending[0]) {
-		for n < len(c.pending) && n < c.srv.cfg.MaxBatch && !special(&c.pending[n]) {
+	if kind != runAlone {
+		for n < len(c.pending) && n < c.srv.cfg.MaxBatch && c.pending[n].runKind() == kind {
 			n++
 		}
 	}
@@ -684,18 +701,18 @@ func (c *serverConn) process(run []item) error {
 	}
 	c.reqs = reqs
 	c.noteDecodeSpans(reqs)
-	if len(reqs) == 1 && reqs[0].Op == wire.OpTxn {
-		resp := c.execTxn(&reqs[0])
-		if err := c.bw.WriteResponse(&resp); err != nil {
-			return err
-		}
-	} else if len(reqs) == 1 && reqs[0].Op == wire.OpStats {
+	if len(reqs) == 1 && reqs[0].Op == wire.OpStats {
 		resp := c.execStats()
 		if err := c.bw.WriteResponse(&resp); err != nil {
 			return err
 		}
 	} else if len(reqs) > 0 {
-		resps := c.execBatch(reqs)
+		var resps []wire.Response
+		if reqs[0].Op == wire.OpTxn {
+			resps = c.execTxns(reqs)
+		} else {
+			resps = c.execBatch(reqs)
+		}
 		for i := range resps {
 			if err := c.bw.WriteResponse(&resps[i]); err != nil {
 				return err
@@ -852,12 +869,12 @@ func (c *serverConn) gather() (seq uint64, err error) {
 // awaitAck is the ack step of the commit pipeline, shared by every durable
 // write shape. It performs the execution unit's single durability wait on
 // seq (a zero seq logged nothing) and on failure erases the provisional
-// acks: each write in reqs still answered OK flips to the failure's
-// status, ERR for a device failure (the log could not honor it — DESIGN.md
-// §10; only these count under wal_unacked_writes) or UNCERTAIN for a
-// replication-ack timeout (durable locally, replication pending). A TXN
-// caller then answers the returned error for the whole TXN. Writes whose
-// own append failed were already answered ERR by the log step.
+// acks in reqs — a run of simple ops or of TXN frames — through unack,
+// with the failure's status: ERR for a device failure (the log could not
+// honor it — DESIGN.md §10; only these count under wal_unacked_writes) or
+// UNCERTAIN for a replication-ack timeout (durable locally, replication
+// pending). Writes whose own append failed were already answered ERR by
+// the log step.
 func (c *serverConn) awaitAck(seq uint64, reqs []wire.Request, resps []wire.Response) error {
 	if seq == 0 {
 		return nil
@@ -879,15 +896,40 @@ func (c *serverConn) awaitAck(seq uint64, reqs []wire.Request, resps []wire.Resp
 	status := wire.StatusOf(err)
 	var flipped uint64
 	for i := range reqs {
-		if isWrite(reqs[i].Op) && resps[i].Status == wire.StatusOK {
-			resps[i] = wire.Response{Kind: wire.RespEmpty, Status: status}
-			flipped++
-		}
+		flipped += unack(&reqs[i], &resps[i], status)
 	}
 	if status == wire.StatusErr {
 		c.srv.m.walUnackedWrites.Add(flipped)
 	}
 	return err
+}
+
+// unack erases one provisional answer after a failed durability wait and
+// returns how many writes it took back: a simple write answered OK answers
+// status instead, and a TXN that committed writes answers status as a
+// whole (partial results would be unordered fiction). Reads, read-only
+// TXNs and answers that already failed stand.
+func unack(req *wire.Request, resp *wire.Response, status wire.Status) uint64 {
+	if req.Op != wire.OpTxn {
+		if isWrite(req.Op) && resp.Status == wire.StatusOK {
+			*resp = wire.Response{Kind: wire.RespEmpty, Status: status}
+			return 1
+		}
+		return 0
+	}
+	if resp.Status != wire.StatusOK {
+		return 0
+	}
+	var writes uint64
+	for i := range req.Ops {
+		if isWrite(req.Ops[i].Op) && resp.Batch[i].Status == wire.StatusOK {
+			writes++
+		}
+	}
+	if writes > 0 {
+		*resp = wire.Response{Kind: wire.RespBatch, Status: status}
+	}
+	return writes
 }
 
 // isWrite reports whether a simple op mutates engine state.
@@ -941,30 +983,49 @@ func (c *serverConn) execReadsOnly(reqs []wire.Request, countDegraded bool) []wi
 	return resps
 }
 
-// execTxn runs one TXN frame atomically through the same pipeline as a
-// run: execute on the lanes (or, for a multi-lane write, on the worker's
-// session while the involved lanes are parked), log the acked write-set as
-// one record, then awaitAck. A TXN whose keys all hash to one lane is one
-// Atomic lane batch; a read-only TXN spanning lanes is the Ordo-merged
-// cross-shard read. On commit the response carries per-op results; on
-// failure the batch status stands alone (the client retries or surfaces
-// it — partial results would be unordered fiction), so a failed durability
-// wait turns the whole committed-but-unacked TXN into one ERR or
-// UNCERTAIN.
-func (c *serverConn) execTxn(req *wire.Request) wire.Response {
+// execTxns serves a run of TXN frames as one execution unit of the commit
+// pipeline, as execBatch serves a run of simple ops: every TXN executes,
+// logs and publishes in request order (execTxn), and the worker then
+// waits once, on the run's highest durability sequence, so a pipelined
+// window of write TXNs shares a flush instead of waiting one out per
+// frame. A failed wait answers every write TXN of the run with the
+// failure's status as a whole; read-only TXNs keep their answers. The
+// returned responses are backed by worker scratch and valid until the
+// next run.
+func (c *serverConn) execTxns(reqs []wire.Request) []wire.Response {
+	resps := c.scratchResps(len(reqs))
+	var seq uint64
+	for i := range reqs {
+		var s uint64
+		resps[i], s = c.execTxn(&reqs[i])
+		seq = max(seq, s)
+	}
+	c.awaitAck(seq, reqs, resps)
+	return resps
+}
+
+// execTxn executes one TXN frame atomically and logs its acked write-set
+// as one record without waiting for it: on the lanes, or for a multi-lane
+// write on the worker's session while the involved lanes are parked. A TXN
+// whose keys all hash to one lane is one Atomic lane batch; a read-only TXN
+// spanning lanes is the Ordo-merged cross-shard read. On commit the
+// response carries per-op results; on failure the batch status stands
+// alone (the client retries or surfaces it). It returns the durability
+// sequence the caller's awaitAck must cover (0 when nothing was logged).
+func (c *serverConn) execTxn(req *wire.Request) (wire.Response, uint64) {
 	c.srv.m.txns.Add(1)
 	c.srv.m.txnOps.Add(uint64(len(req.Ops)))
 	if c.srv.ReadOnly() && runHasWrites(req.Ops) {
 		if st := c.srv.cfg.Repl; st != nil && st.Role() == RoleFollower {
 			// RespBatch cannot carry a redirect address; the NOT_LEADER
 			// status alone tells the client to re-resolve the leader.
-			return wire.Response{Kind: wire.RespBatch, Status: wire.StatusNotLeader}
+			return wire.Response{Kind: wire.RespBatch, Status: wire.StatusNotLeader}, 0
 		}
-		return wire.Response{Kind: wire.RespBatch, Status: wire.StatusErr}
+		return wire.Response{Kind: wire.RespBatch, Status: wire.StatusErr}, 0
 	}
 	if gc := c.srv.gc; gc != nil && gc.failed() != nil && runHasWrites(req.Ops) {
 		c.srv.m.degraded.Add(1)
-		return wire.Response{Kind: wire.RespBatch, Status: wire.StatusErr}
+		return wire.Response{Kind: wire.RespBatch, Status: wire.StatusErr}, 0
 	}
 	resps := make([]wire.Response, len(req.Ops))
 	var seq uint64
@@ -976,12 +1037,9 @@ func (c *serverConn) execTxn(req *wire.Request) wire.Response {
 		c.srv.m.crossTxns.Add(1)
 		seq, err = c.execParked(req, resps)
 	default:
-		return c.execTxnCrossRead(req, resps)
+		return c.execTxnCrossRead(req, resps), 0
 	}
-	if err == nil {
-		err = c.awaitAck(seq, req.Ops, resps)
-	}
-	return txnResponse(resps, err)
+	return txnResponse(resps, err), seq
 }
 
 // txnResponse is a TXN's answer: the per-op results on commit, the bare
@@ -1060,7 +1118,7 @@ func (c *serverConn) parkInvolved() func() {
 // Coordinators serialize on crossMu: overlapping lane subsets parked in
 // arbitrary order would deadlock otherwise.
 //
-// The caller's durability wait happens after crossMu and the lanes are
+// The run's durability wait happens after crossMu and the lanes are
 // released. That is sound because the wait is on a sequence: any append
 // made after this one — by a lane this TXN parked or by the next
 // coordinator — gets a higher durability sequence, and the flush that
@@ -1093,8 +1151,10 @@ func (c *serverConn) execParked(req *wire.Request, resps []wire.Response) (seq u
 	}()
 	// Commit span at the commit timestamp itself when the node can convert
 	// engine ticks to the span clock's scale; the coordinator path has no
-	// lane span — the involved lanes were parked, not executing.
-	if cts != 0 && c.spans != nil && c.spanN > 0 && c.spanN < len(c.spanBuf) {
+	// lane span — the involved lanes were parked, not executing. The last
+	// scratch slot stays free for the run's ack span, which follows every
+	// TXN of the run.
+	if cts != 0 && c.spans != nil && c.spanN > 0 && c.spanN < len(c.spanBuf)-1 {
 		now, unc := c.spans.Now()
 		ts := c.spans.ConvTicks(cts)
 		if ts == 0 {
@@ -1186,6 +1246,7 @@ func (c *serverConn) execTxnCrossRead(req *wire.Request, resps []wire.Response) 
 	}
 	// Stable conflict pressure: take the pessimistic barrier. A read-only
 	// TXN logs nothing, so there is no durability to wait for.
+	srv.m.crossParkedReads.Add(1)
 	_, err := c.execParked(req, resps)
 	return txnResponse(resps, err)
 }

@@ -204,11 +204,13 @@ type metrics struct {
 
 	batches, batchedOps atomic.Uint64
 	// Cross-shard coordination: TXNs that spanned lanes, Ordo-merged
-	// cross-shard reads, their optimistic retries, and the reads refused
-	// with NOT_YET because the interfering commit fell inside the
-	// uncertainty window.
+	// cross-shard reads, their optimistic retries, the reads refused with
+	// NOT_YET because the interfering commit fell inside the uncertainty
+	// window, and the reads that spent their optimistic passes and parked
+	// the involved lanes.
 	crossTxns, crossReads     atomic.Uint64
 	crossRetries, crossNotYet atomic.Uint64
+	crossParkedReads          atomic.Uint64
 	busy                      atomic.Uint64
 	degraded                  atomic.Uint64
 	protoErrs                 atomic.Uint64

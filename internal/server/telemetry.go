@@ -210,6 +210,7 @@ func (s *Server) registerCatalogue() {
 	reg.CounterFunc("ordod_cross_shard_reads_total", "Read-only TXNs merged across lanes with cmp_time.", m.crossReads.Load)
 	reg.CounterFunc("ordod_cross_shard_retries_total", "Cross-shard read passes retried after a definitely-ordered interfering commit.", m.crossRetries.Load)
 	reg.CounterFunc("ordod_cross_shard_not_yet_total", "Cross-shard reads refused with NOT_YET inside the uncertainty window.", m.crossNotYet.Load)
+	reg.CounterFunc("ordod_cross_shard_parked_reads_total", "Cross-shard reads that spent their optimistic passes and parked the involved lanes.", m.crossParkedReads.Load)
 
 	reg.CounterFunc("ordod_busy_total", "Ops shed with BUSY past the queue bound.", m.busy.Load)
 	reg.CounterFunc("ordod_degraded_runs_total", "Runs that fell back to per-op transactions or reads-only serving.", m.degraded.Load)
